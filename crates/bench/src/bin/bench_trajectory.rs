@@ -25,8 +25,8 @@ use std::sync::Arc;
 use bmst_bench::emit::{write_bench_file, BenchRecord};
 use bmst_bench::{fit_scaling_exponent, has_flag, timed, TABLE_EPS};
 use bmst_core::{
-    builders, mst_tree, spt_tree, BoundKind, CostClass, EdgeSupply, GabowConfig, ProblemContext,
-    TreeBuilder, TreeReport,
+    builders, mst_tree, spt_tree, BoundKind, CostClass, GabowConfig, ProblemContext, TreeBuilder,
+    TreeReport,
 };
 use bmst_geom::Net;
 use bmst_instances::{scaled_net, Benchmark, ScaleStyle};
@@ -295,11 +295,9 @@ const SCALING_EPS: f64 = 0.5;
 
 /// Times one construction on a scaled net and returns integer microseconds
 /// (the unit of the `scaling.*` trajectory records).
-fn time_scaled_build(builder: &dyn TreeBuilder, net: &Net, supply: EdgeSupply) -> u64 {
+fn time_scaled_build(builder: &dyn TreeBuilder, net: &Net) -> u64 {
     let (tree, wall_s) = timed(|| {
-        let cx = ProblemContext::new(net, SCALING_EPS)
-            .expect("scaled nets are valid")
-            .with_edge_supply(supply);
+        let cx = ProblemContext::new(net, SCALING_EPS).expect("scaled nets are valid");
         builder
             .build(&cx)
             .expect("scaled uniform nets are feasible at eps 0.5")
@@ -369,8 +367,8 @@ fn scaling_fit_record(algo: &str, points: &[(usize, u64)], records: &mut Vec<Ben
 /// without the multi-second builds.
 fn scaling_sweep(quick: bool, records: &mut Vec<BenchRecord>) {
     let bkrus_ns: &[usize] = if quick { &[50, 200] } else { &[50, 500, 5000] };
-    // BPRIM's sparse path carries no dense matrix, so its gated (Auto)
-    // ladder reaches past the dense-era ceiling.
+    // BPRIM's heap path carries no dense matrix, so its ladder reaches
+    // past the sizes an O(n^2) matrix affords.
     let bprim_ns: &[usize] = if quick {
         &[20, 100]
     } else {
@@ -390,50 +388,11 @@ fn scaling_sweep(quick: bool, records: &mut Vec<BenchRecord>) {
         let mut points = Vec::new();
         for &n in ns {
             let net = scaled_net(n, 0x5CA1E + n as u64, ScaleStyle::Uniform);
-            let micros = time_scaled_build(builder, &net, EdgeSupply::Auto);
+            let micros = time_scaled_build(builder, &net);
             records.push(scaling_record(algo, n, micros, &[]));
             points.push((n, micros));
         }
         scaling_fit_record(algo, &points, records);
-    }
-
-    // Forced-supply comparison ladders. Keys embed the supply name
-    // (`scaling.<algo>.sparse.<n>.micros`), which `check-perf`'s parser
-    // skips (the size slot does not parse as an integer), so these inform
-    // without widening the gated ladders. Dense ladders stop at the sizes
-    // the O(n^2) matrix comfortably affords.
-    for (algo, builder) in [
-        ("bkrus", &builders::Bkrus as &dyn TreeBuilder),
-        ("bprim", &builders::Bprim),
-    ] {
-        for (supply, ns) in [
-            (
-                EdgeSupply::Sparse,
-                if quick {
-                    &[50usize, 200][..]
-                } else {
-                    &[50, 500, 5000][..]
-                },
-            ),
-            (
-                EdgeSupply::Dense,
-                if quick {
-                    &[50usize, 200][..]
-                } else {
-                    &[50, 500, 2000][..]
-                },
-            ),
-        ] {
-            let tagged = format!("{algo}.{}", supply.name());
-            let mut points = Vec::new();
-            for &n in ns {
-                let net = scaled_net(n, 0x5CA1E + n as u64, ScaleStyle::Uniform);
-                let micros = time_scaled_build(builder, &net, supply);
-                records.push(scaling_record(&tagged, n, micros, &[]));
-                points.push((n, micros));
-            }
-            scaling_fit_record(&tagged, &points, records);
-        }
     }
 
     let config = RouterConfig::default();

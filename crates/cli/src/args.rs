@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use bmst_core::EdgeSupply;
 use bmst_router::RouteAlgorithm;
 
 /// Errors produced by the CLI (bad usage, I/O, infeasible instances).
@@ -125,9 +124,6 @@ pub struct RouteArgs {
     /// Write collapsed-stack (flamegraph-compatible) profile lines to
     /// this path.
     pub profile_folded: Option<String>,
-    /// Edge-candidate supply override (`--dense` / `--sparse`; default
-    /// auto-selects by net size, with bit-identical trees either way).
-    pub edge_supply: EdgeSupply,
 }
 
 /// What `gen` should generate.
@@ -185,8 +181,6 @@ pub enum Command {
         /// Exit with code 3 unless every net routed cleanly (no degraded,
         /// no failed nets).
         strict: bool,
-        /// Edge-candidate supply override (`--dense` / `--sparse`).
-        edge_supply: EdgeSupply,
     },
     /// `bmst algorithms` — list every registered construction.
     Algorithms,
@@ -234,20 +228,7 @@ type Flag = (String, Option<String>);
 
 /// Flags that take no value. Shared by [`split_flags`] and the per-command
 /// matchers so a new boolean flag only needs one entry here.
-const BOOL_FLAGS: &[&str] = &[
-    "edges", "audit", "help", "profile", "strict", "sparse", "dense",
-];
-
-/// Folds a `--sparse` / `--dense` flag into the supply knob, rejecting
-/// contradictory combinations.
-fn set_supply(current: EdgeSupply, wanted: EdgeSupply, cmd: &str) -> Result<EdgeSupply, CliError> {
-    if current != EdgeSupply::Auto && current != wanted {
-        return Err(CliError::new(format!(
-            "{cmd}: --sparse and --dense are exclusive"
-        )));
-    }
-    Ok(wanted)
-}
+const BOOL_FLAGS: &[&str] = &["edges", "audit", "help", "profile", "strict"];
 
 /// Splits `argv` into positionals and `--flag value` pairs.
 fn split_flags(args: &[String]) -> Result<(Vec<String>, Vec<Flag>), CliError> {
@@ -312,7 +293,6 @@ pub(crate) fn parse(argv: &[String]) -> Result<Command, CliError> {
                 trace: None,
                 profile: false,
                 profile_folded: None,
-                edge_supply: EdgeSupply::Auto,
             };
             for (name, value) in flags {
                 let v = value.as_deref();
@@ -327,14 +307,6 @@ pub(crate) fn parse(argv: &[String]) -> Result<Command, CliError> {
                     ("audit", _) => args.audit = true,
                     ("profile", _) => args.profile = true,
                     ("profile-folded", Some(v)) => args.profile_folded = Some(v.to_owned()),
-                    ("sparse", _) => {
-                        args.edge_supply =
-                            set_supply(args.edge_supply, EdgeSupply::Sparse, "route")?;
-                    }
-                    ("dense", _) => {
-                        args.edge_supply =
-                            set_supply(args.edge_supply, EdgeSupply::Dense, "route")?;
-                    }
                     (other, _) => {
                         return Err(CliError::new(format!("route: unknown flag --{other}")))
                     }
@@ -400,7 +372,6 @@ pub(crate) fn parse(argv: &[String]) -> Result<Command, CliError> {
             let mut max_relaxations = None;
             let mut failure_log = None;
             let mut strict = false;
-            let mut edge_supply = EdgeSupply::Auto;
             for (name, value) in flags {
                 match (name.as_str(), value.as_deref()) {
                     ("algorithm", Some(v)) => algorithm = netlist_algorithm(v)?,
@@ -422,12 +393,6 @@ pub(crate) fn parse(argv: &[String]) -> Result<Command, CliError> {
                     }
                     ("failure-log", Some(v)) => failure_log = Some(v.to_owned()),
                     ("strict", _) => strict = true,
-                    ("sparse", _) => {
-                        edge_supply = set_supply(edge_supply, EdgeSupply::Sparse, "netlist")?;
-                    }
-                    ("dense", _) => {
-                        edge_supply = set_supply(edge_supply, EdgeSupply::Dense, "netlist")?;
-                    }
                     (other, _) => {
                         return Err(CliError::new(format!("netlist: unknown flag --{other}")))
                     }
@@ -443,7 +408,6 @@ pub(crate) fn parse(argv: &[String]) -> Result<Command, CliError> {
                 max_relaxations,
                 failure_log,
                 strict,
-                edge_supply,
             })
         }
         "algorithms" => Ok(Command::Algorithms),
@@ -526,40 +490,6 @@ mod tests {
         assert_eq!(a.svg.as_deref(), Some("t.svg"));
         assert!(a.edges);
         assert!(a.audit);
-    }
-
-    #[test]
-    fn parse_edge_supply_flags() {
-        let Command::Route(a) = parse(&argv("route net.txt --sparse")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.edge_supply, EdgeSupply::Sparse);
-        let Command::Route(a) = parse(&argv("route net.txt --dense")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.edge_supply, EdgeSupply::Dense);
-        let Command::Route(a) = parse(&argv("route net.txt")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.edge_supply, EdgeSupply::Auto);
-
-        let Command::Netlist { edge_supply, .. } =
-            parse(&argv("netlist nets.txt --sparse")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(edge_supply, EdgeSupply::Sparse);
-        let Command::Netlist { edge_supply, .. } =
-            parse(&argv("netlist nets.txt --dense")).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(edge_supply, EdgeSupply::Dense);
-
-        let err = parse(&argv("route net.txt --sparse --dense")).unwrap_err();
-        assert!(err.to_string().contains("exclusive"), "{err}");
-        let err = parse(&argv("netlist nets.txt --dense --sparse")).unwrap_err();
-        assert!(err.to_string().contains("exclusive"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use bmst_obs::{JsonLinesRecorder, MultiRecorder, Recorder, SpanTreeRecorder};
 
 use bmst_core::{
     audit_construction, lub_bkrus, mst_tree, spt_tree, BoundKind, BuilderDescriptor, CostClass,
-    EdgeSupply, PathConstraint, ProblemContext,
+    PathConstraint, ProblemContext,
 };
 use bmst_geom::{Net, Point};
 use bmst_instances::Benchmark;
@@ -49,7 +49,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             max_relaxations,
             failure_log,
             strict,
-            edge_supply,
         } => {
             // The strict gate runs after observability teardown so the
             // trace file is finished (counters line, flush) even when the
@@ -63,7 +62,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         jobs,
                         max_relaxations,
                         failure_log.as_deref(),
-                        edge_supply,
                         &mut clean,
                     )
                 })?;
@@ -145,7 +143,6 @@ fn route_netlist(
     jobs: usize,
     max_relaxations: Option<usize>,
     failure_log: Option<&str>,
-    edge_supply: EdgeSupply,
     clean: &mut bool,
 ) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| CliError::new(format!("{path}: {e}")))?;
@@ -153,7 +150,6 @@ fn route_netlist(
         Netlist::from_str_block(&text).map_err(|e| CliError::new(format!("{path}: {e}")))?;
     let mut config = RouterConfig {
         algorithm,
-        edge_supply,
         ..RouterConfig::default()
     };
     if let Some(n) = max_relaxations {
@@ -394,8 +390,7 @@ fn route(args: RouteArgs) -> Result<String, CliError> {
             } else {
                 let cx = ProblemContext::new(&net, args.eps)
                     .map_err(infeasible)?
-                    .with_pd_blend(args.pd_c)
-                    .with_edge_supply(args.edge_supply);
+                    .with_pd_blend(args.pd_c);
                 let d = alg.descriptor();
                 let g = alg.builder().build_geometry(&cx).map_err(infeasible)?;
                 Routed {

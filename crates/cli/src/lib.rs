@@ -58,10 +58,6 @@ NETLIST OPTIONS:
                     full relaxation attempt trail) as JSON lines to F
   --strict          exit with code 3 when any net fails or is routed
                     degraded (relaxed eps or SPT fallback)
-  --sparse / --dense
-                    force the edge-candidate supply: --sparse streams
-                    candidates from the grid neighbor index, --dense builds
-                    the full O(n^2) matrix (default: auto by net size)
   --profile         append the span-tree profile to the report (per-worker
                     spans are merged, so output is stable for every --jobs N)
   --profile-folded <F>
@@ -86,10 +82,6 @@ ROUTE OPTIONS:
   --profile-folded <F>
                     write the profile as collapsed-stack lines to F
                     (flamegraph-compatible: `path;to;span micros`)
-  --sparse / --dense
-                    force the edge-candidate supply: --sparse streams
-                    candidates from the grid neighbor index, --dense builds
-                    the full O(n^2) matrix (default: auto by net size)
 
 SERVE OPTIONS:
   --addr <A>        bind address (default: 127.0.0.1:7463; port 0 = free port)

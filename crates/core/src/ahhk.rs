@@ -72,7 +72,6 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
         crate::audit::debug_audit(net, &tree, None);
         return Ok(tree);
     }
-    let d = cx.matrix();
 
     let mut in_tree = vec![false; n];
     let mut path_s = vec![0.0; n];
@@ -83,7 +82,7 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     for v in 0..n {
         cx.check_cancelled()?;
         if v != s {
-            best[v] = d[(s, v)];
+            best[v] = cx.dist(s, v);
             best_from[v] = s;
         }
     }
@@ -102,11 +101,12 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
         debug_assert!(pick != usize::MAX);
         let u = best_from[pick];
         in_tree[pick] = true;
-        path_s[pick] = path_s[u] + d[(u, pick)];
-        edges.push(Edge::new(u, pick, d[(u, pick)]));
+        let w = cx.dist(u, pick);
+        path_s[pick] = path_s[u] + w;
+        edges.push(Edge::new(u, pick, w));
         for v in 0..n {
             if !in_tree[v] {
-                let cand = c * path_s[pick] + d[(pick, v)];
+                let cand = c * path_s[pick] + cx.dist(pick, v);
                 if cand < best[v] {
                     best[v] = cand;
                     best_from[v] = pick;

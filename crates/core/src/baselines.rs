@@ -37,10 +37,7 @@ pub fn mst_tree(net: &Net) -> RoutingTree {
 }
 
 /// [`mst_tree`] over a shared [`ProblemContext`]. Distances come from
-/// `cx.dist` — a cached-matrix lookup when the dense supply already built
-/// one, the metric directly otherwise — so a baseline ratio report never
-/// forces the O(n²) matrix onto a sparse-supply run. Either way the bits
-/// (and the tree) are identical.
+/// `cx.dist`, so a baseline ratio report never forces the O(n²) matrix.
 #[allow(clippy::expect_used)] // construction invariant, justified inline
 pub(crate) fn mst_tree_cx(cx: &ProblemContext<'_>) -> RoutingTree {
     let net = cx.net();

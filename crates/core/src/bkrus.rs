@@ -107,9 +107,8 @@ pub(crate) fn run(
 
     let dist_s: Vec<f64> = (0..n).map(|v| cx.dist(source, v)).collect();
 
-    // Materialize the supply's shared state (dense: matrix + sorted list;
-    // sparse: the neighbor index) before opening the construction span,
-    // so its cost is attributed to the context, not this run.
+    // Build the stream's neighbor index before opening the construction
+    // span, so its cost is attributed to the context, not this run.
     let stream = cx.edge_stream();
 
     let mut forest = KruskalForest::new(n, source);
@@ -119,7 +118,7 @@ pub(crate) fn run(
     let mut cycle_rejects = 0u64;
     let mut bound_rejects = 0u64;
 
-    // Both supplies yield the total canonical (weight, u, v) order, so
+    // The stream yields the total canonical (weight, u, v) order, so
     // skipping Lemma 6.1 edges here visits the surviving edges in
     // exactly the order the pre-context code produced by filtering first.
     for e in stream {
@@ -182,7 +181,7 @@ pub(crate) fn run(
     drop(obs_span);
 
     if tree_edges.len() != n - 1 {
-        // A fired token truncates the sparse edge stream, so an
+        // A fired token truncates the edge stream, so an
         // incomplete scan may mean cancellation rather than infeasibility
         // — surface the deadline, not a bogus Infeasible.
         cx.check_cancelled()?;

@@ -52,12 +52,10 @@ pub fn bprim(net: &Net, eps: f64) -> Result<RoutingTree, BmstError> {
 }
 
 /// Context-based BPRIM driver; the per-node budget uses the context's raw
-/// `eps`, the audit its validated constraint. Dispatches on the context's
-/// edge supply: the dense path scans the full distance matrix each step,
-/// the sparse path pulls nearest-neighbor candidates from the grid index
-/// through a per-tree-node candidate heap. Both produce bit-identical
-/// trees (the heap resolves ties with the same `(weight, u, v)` order the
-/// dense scan uses).
+/// `eps`, the audit its validated constraint. Candidates come from the
+/// grid neighbor index through a per-tree-node candidate heap, which
+/// resolves ties with the same lowest-`(weight, u, v)` rule as a full scan
+/// of every (tree node, outside node) pair each step.
 pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     let net = cx.net();
     // BPRIM/BRBC promise only the upper bound; audit with the lower
@@ -73,102 +71,16 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
         crate::audit::debug_audit(net, &tree, Some(&constraint));
         return Ok(tree);
     }
-    let edges = if cx.sparse_active() {
-        run_sparse(cx)?
-    } else {
-        run_dense(cx)?
-    };
+    let edges = attach_all(cx)?;
     let tree = RoutingTree::from_edges(n, s, edges)?;
     crate::audit::debug_audit(net, &tree, Some(&constraint));
     Ok(tree)
 }
 
-/// The original dense scan: every step examines all (tree node, outside
-/// node) pairs through the distance matrix.
-// analyze: complexity(n^3)
-fn run_dense(cx: &ProblemContext<'_>) -> Result<Vec<Edge>, BmstError> {
-    let net = cx.net();
-    let eps = cx.eps();
-    let n = net.len();
-    let s = net.source();
-    let d = cx.matrix();
-
-    let mut in_tree = vec![false; n];
-    let mut path_s = vec![0.0; n]; // path(S, x) for tree nodes
-    in_tree[s] = true;
-    let mut edges: Vec<Edge> = Vec::with_capacity(n - 1);
-    let obs_span = bmst_obs::span("bprim");
-    let mut scanned = 0u64;
-    let mut bound_rejects = 0u64;
-
-    for _ in 1..n {
-        // Each attachment step is an O(n^2) scan, coarse enough to poll
-        // the cancellation token every iteration.
-        cx.check_cancelled()?;
-        // Cheapest feasible attachment. Deterministic tie-break: lowest
-        // (weight, u, v).
-        let mut best: Option<(f64, usize, usize)> = None;
-        for u in 0..n {
-            if !in_tree[u] {
-                continue;
-            }
-            for v in 0..n {
-                if in_tree[v] || v == u {
-                    continue;
-                }
-                let w = d[(u, v)];
-                scanned += 1;
-                let node_bound = if eps.is_infinite() {
-                    f64::INFINITY
-                } else {
-                    (1.0 + eps) * d[(s, v)]
-                };
-                if !le_tol(path_s[u] + w, node_bound) {
-                    bound_rejects += 1;
-                    continue;
-                }
-                let cand = (w, u, v);
-                let better = match best {
-                    None => true,
-                    Some(b) => (cand.0, cand.1, cand.2) < (b.0, b.1, b.2),
-                };
-                if better {
-                    best = Some(cand);
-                }
-            }
-        }
-        match best {
-            Some((w, u, v)) => {
-                in_tree[v] = true;
-                path_s[v] = path_s[u] + w;
-                edges.push(Edge::new(u, v, w));
-            }
-            None => {
-                // Unreachable for eps >= 0 (direct source edges are always
-                // feasible); report rather than assert.
-                let connected = in_tree.iter().filter(|&&b| b).count();
-                return Err(BmstError::Infeasible {
-                    connected,
-                    total: n,
-                    min_feasible_eps: None,
-                });
-            }
-        }
-    }
-
-    if bmst_obs::enabled() {
-        bmst_obs::counter("bprim.attachments_scanned", scanned);
-        bmst_obs::counter("bprim.rejected_bound", bound_rejects);
-    }
-    drop(obs_span);
-
-    Ok(edges)
-}
-
 /// A candidate attachment `(w, u, v)`: tree node `u` offering outside
-/// node `v` at distance `w`. `Ord` is the dense scan's exact tie-break —
+/// node `v` at distance `w`. `Ord` is the full scan's exact tie-break —
 /// weight (`total_cmp`), then `u`, then `v` — so the heap's minimum is
-/// always the pair the dense scan would have chosen.
+/// always the pair a full scan would have chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Cand {
     w: f64,
@@ -246,15 +158,15 @@ impl NearestSearch {
     }
 }
 
-/// The sparse path: a min-heap holds, for every tree node `u`, `u`'s
+/// The attachment loop: a min-heap holds, for every tree node `u`, `u`'s
 /// cheapest not-yet-dismissed outside neighbor. Stale candidates (target
 /// already absorbed) advance `u`'s enumeration and retry; bound-infeasible
 /// candidates are dismissed permanently — `path(S, u)` is fixed once `u`
 /// joins the tree and `v`'s per-node bound is fixed while `v` is outside,
-/// so an infeasible pair can never become feasible (the dense scan
-/// re-checks and re-rejects it every step; dismissing it is equivalent).
+/// so an infeasible pair can never become feasible (a full scan would
+/// re-check and re-reject it every step; dismissing it is equivalent).
 // analyze: complexity(n^2)
-fn run_sparse(cx: &ProblemContext<'_>) -> Result<Vec<Edge>, BmstError> {
+fn attach_all(cx: &ProblemContext<'_>) -> Result<Vec<Edge>, BmstError> {
     let net = cx.net();
     let eps = cx.eps();
     let n = net.len();
@@ -287,11 +199,10 @@ fn run_sparse(cx: &ProblemContext<'_>) -> Result<Vec<Edge>, BmstError> {
     offer(s, &mut searches, &mut heap);
 
     for _ in 1..n {
-        // One attachment per iteration; poll cancellation at the same
-        // granularity as the dense scan.
+        // One attachment per iteration, each a cancellation poll.
         cx.check_cancelled()?;
         // Pop until the minimum candidate is live and feasible; by the
-        // dismissal argument above it is exactly the dense scan's pick.
+        // dismissal argument above it is exactly a full scan's pick.
         let attachment = loop {
             let Some(Reverse(cand)) = heap.pop() else {
                 break None;

@@ -1,7 +1,7 @@
 //! BRBC: the bounded-radius-bounded-cost baseline of Cong et al. (paper §2).
 
 use bmst_geom::Net;
-use bmst_graph::{dijkstra, prim_mst, AdjacencyList, Edge};
+use bmst_graph::{dijkstra, prim_mst_with, AdjacencyList, Edge};
 use bmst_tree::RoutingTree;
 
 use crate::{BmstError, PathConstraint, ProblemContext};
@@ -69,8 +69,7 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
         crate::audit::debug_audit(net, &tree, Some(&constraint));
         return Ok(tree);
     }
-    let d = cx.matrix();
-    let mst = prim_mst(d, s);
+    let mst = prim_mst_with(n, s, |i, j| cx.dist(i, j));
 
     if eps.is_infinite() {
         // No shortcut ever triggers; the result is the MST itself.
@@ -102,7 +101,7 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
             Step::Visit { node: v, via_len } => {
                 accumulated += via_len;
                 if v != s {
-                    let direct = d[(s, v)];
+                    let direct = cx.dist(s, v);
                     if accumulated >= eps * direct {
                         // Add the shortest source path to v: the direct edge.
                         q.add_edge(s, v, direct);

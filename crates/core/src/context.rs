@@ -1,8 +1,8 @@
 //! Shared per-net problem state.
 //!
 //! Every construction in the paper operates on the same derived instance
-//! data: the complete terminal graph's distance matrix `D[V][V]`, its
-//! weight-sorted edge list, and the validated path-length window. Before
+//! data: distances between terminals, the complete terminal graph's edges
+//! in weight order, and the validated path-length window. Before
 //! this module each `pub fn <alg>(net, eps)` entry point re-derived that
 //! state from scratch; [`ProblemContext`] computes each piece lazily, at
 //! most once, and hands shared references to every
@@ -16,7 +16,7 @@ use bmst_tree::ElmoreParams;
 
 use crate::cancel::CancelToken;
 use crate::supply::EdgeStream;
-use crate::{BmstError, EdgeSupply, PathConstraint};
+use crate::{BmstError, PathConstraint};
 
 /// Default Prim/Dijkstra trade-off parameter (the midpoint blend).
 pub(crate) const DEFAULT_PD_BLEND: f64 = 0.5;
@@ -77,12 +77,13 @@ impl std::fmt::Display for InputDiagnostic {
 }
 
 /// A per-net cache of the state every bounded-tree construction shares:
-/// the [`Net`], its [`DistanceMatrix`], the lazily-built weight-sorted
-/// complete edge list, and the validated [`PathConstraint`].
+/// the [`Net`], its grid [`NeighborIndex`] (the source of the lazy
+/// [`EdgeStream`]), the validated [`PathConstraint`], and — for the exact
+/// solvers only — the [`DistanceMatrix`] and fully sorted edge list.
 ///
 /// Construct one per routing problem and run any number of
-/// [`TreeBuilder`](crate::TreeBuilder)s against it; the matrix and edge
-/// list are computed at most once. The lazy members use [`OnceLock`], so a
+/// [`TreeBuilder`](crate::TreeBuilder)s against it; each lazy member is
+/// computed at most once. The lazy members use [`OnceLock`], so a
 /// shared `&ProblemContext` may be used from several threads at once (the
 /// parallel netlist router gives each net its own context, but nothing
 /// prevents fanning builders out over one).
@@ -110,7 +111,6 @@ pub struct ProblemContext<'a> {
     constraint: PathConstraint,
     eps: f64,
     pd_blend: f64,
-    supply: EdgeSupply,
     cancel: CancelToken,
     matrix: OnceLock<DistanceMatrix>,
     sorted_edges: OnceLock<Vec<Edge>>,
@@ -163,7 +163,6 @@ impl<'a> ProblemContext<'a> {
             constraint,
             eps,
             pd_blend: DEFAULT_PD_BLEND,
-            supply: EdgeSupply::Auto,
             cancel: CancelToken::never(),
             matrix: OnceLock::new(),
             sorted_edges: OnceLock::new(),
@@ -171,16 +170,6 @@ impl<'a> ProblemContext<'a> {
             elmore: OnceLock::new(),
             diagnostics: OnceLock::new(),
         }
-    }
-
-    /// Overrides the edge-candidate supply (default [`EdgeSupply::Auto`]).
-    ///
-    /// Both supplies produce bit-identical trees; see [`EdgeSupply`] for
-    /// the time/memory trade-off.
-    #[must_use]
-    pub fn with_edge_supply(mut self, supply: EdgeSupply) -> Self {
-        self.supply = supply;
-        self
     }
 
     /// Overrides the Prim/Dijkstra blend parameter `c` read by the
@@ -255,30 +244,13 @@ impl<'a> ProblemContext<'a> {
         self.pd_blend
     }
 
-    /// The configured edge-candidate supply knob.
-    #[inline]
-    pub fn edge_supply(&self) -> EdgeSupply {
-        self.supply
-    }
-
-    /// Whether the sparse (neighbor-index) supply is active for this net:
-    /// the knob resolved against the terminal count.
-    #[inline]
-    pub fn sparse_active(&self) -> bool {
-        self.supply.is_sparse_for(self.net.len())
-    }
-
-    /// Distance between terminals `i` and `j`: a matrix lookup when the
-    /// dense matrix is already cached, an on-demand metric evaluation
-    /// otherwise. Both give bit-identical values (the matrix stores the
-    /// same `Metric::dist` results), so callers never need to force the
-    /// `O(n²)` materialization just to read a handful of distances.
+    /// Distance between terminals `i` and `j`, evaluated on demand. The
+    /// bits equal the [`ProblemContext::matrix`] entry (the matrix stores
+    /// the same `Metric::dist` results), so no construction needs the
+    /// `O(n²)` materialization just to read distances.
     #[inline]
     pub fn dist(&self, i: usize, j: usize) -> f64 {
-        match self.matrix.get() {
-            Some(m) => m[(i, j)],
-            None => self.net.dist(i, j),
-        }
+        self.net.dist(i, j)
     }
 
     /// The grid-bucket neighbor index over the net's terminals, built on
@@ -292,21 +264,19 @@ impl<'a> ProblemContext<'a> {
     }
 
     /// The complete terminal graph's edges in canonical nondecreasing
-    /// `(weight, u, v)` order, served by the active supply: a walk over
-    /// the cached [`ProblemContext::sorted_edges`] list when dense,
-    /// lazy expanding-window generation from the neighbor index when
-    /// sparse. Both yield bit-identical sequences.
+    /// `(weight, u, v)` order, generated lazily in expanding weight
+    /// windows from the neighbor index. The sequence is bit-identical to
+    /// [`ProblemContext::sorted_edges`] without materializing it.
     pub fn edge_stream(&self) -> EdgeStream<'_> {
-        if self.sparse_active() {
-            EdgeStream::sparse(self)
-        } else {
-            EdgeStream::dense(self.sorted_edges())
-        }
+        EdgeStream::new(self)
     }
 
     /// The complete-graph distance matrix, computed on first use. The
     /// `context.matrix` span covers only the actual computation, not
-    /// cache hits.
+    /// cache hits. Only the exact solvers (Gabow, BKEX and its depth-2
+    /// BKH2 exchange) read it: their exponential searches revisit every
+    /// pair many times. Everything else uses [`ProblemContext::dist`] or
+    /// [`ProblemContext::edge_stream`].
     // analyze: complexity(n^2)
     pub fn matrix(&self) -> &DistanceMatrix {
         self.matrix.get_or_init(|| {
@@ -318,7 +288,8 @@ impl<'a> ProblemContext<'a> {
     /// The complete-graph edge list in nondecreasing canonical
     /// `(weight, u, v)` order, computed on first use. The
     /// `context.sorted_edges` span covers only the actual build + sort,
-    /// not cache hits.
+    /// not cache hits. The materialized reference for
+    /// [`ProblemContext::edge_stream`], which yields the same sequence.
     // analyze: complexity(n^2)
     pub fn sorted_edges(&self) -> &[Edge] {
         self.sorted_edges.get_or_init(|| {
@@ -392,7 +363,6 @@ impl std::fmt::Debug for ProblemContext<'_> {
             .field("nodes", &self.net.len())
             .field("constraint", &self.constraint)
             .field("eps", &self.eps)
-            .field("supply", &self.supply)
             .field("matrix_cached", &self.matrix.get().is_some())
             .field("edges_cached", &self.sorted_edges.get().is_some())
             .field("index_cached", &self.neighbor_index.get().is_some())

@@ -76,8 +76,8 @@ pub fn bkrus_elmore(net: &Net, eps: f64, params: &ElmoreParams) -> Result<Routin
     run(&cx)
 }
 
-/// Context-based Elmore BKRUS driver: the distance matrix and sorted edge
-/// list come from the shared cache, the delay model from
+/// Context-based Elmore BKRUS driver: candidate edges come from the
+/// context's lazy [`ProblemContext::edge_stream`], the delay model from
 /// [`ProblemContext::elmore_params`].
 pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     let net = cx.net();
@@ -97,14 +97,13 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     } else {
         (1.0 + eps) * elmore_spt_radius(net, params)
     };
-    let d = cx.matrix();
 
     let mut dsu = DisjointSets::new(n);
     // Edge list per component, keyed by DSU representative.
     let mut comp_edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
     let mut accepted = 0usize;
 
-    for &e in cx.sorted_edges() {
+    for e in cx.edge_stream() {
         if accepted == n - 1 {
             break;
         }
@@ -132,7 +131,7 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
             let radii = elmore::elmore_radii(&t, params);
             let total_cap = elmore::total_capacitance(&t, params);
             let any_feasible = t.covered_nodes().any(|x| {
-                let dsx = d[(s, x)];
+                let dsx = cx.dist(s, x);
                 let direct = params.driver_res
                     * (params.driver_cap + params.unit_cap * dsx + total_cap)
                     + params.unit_res * dsx * (params.unit_cap * dsx / 2.0 + total_cap)
@@ -157,6 +156,9 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     }
 
     if accepted != n - 1 {
+        // A fired token truncates the edge stream: surface the deadline,
+        // not a bogus Infeasible.
+        cx.check_cancelled()?;
         return Err(BmstError::Infeasible {
             connected: accepted + 1,
             total: n,

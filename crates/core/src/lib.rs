@@ -103,4 +103,4 @@ pub use error::BmstError;
 pub use gabow::{gabow_bmst, gabow_bmst_with, preprocess_edges, GabowConfig, GabowOutcome};
 pub use lub::lub_bkrus;
 pub use stats::TreeReport;
-pub use supply::{EdgeStream, EdgeSupply};
+pub use supply::EdgeStream;

@@ -1,21 +1,22 @@
-//! Edge-candidate supply: dense vs. lazily-generated sparse edge streams.
+//! The edge-candidate supply: the complete terminal graph's edges,
+//! generated lazily in canonical order from the grid neighbor index.
 //!
 //! Every Kruskal-style construction consumes the complete terminal graph's
 //! edges in the canonical nondecreasing `(weight, u, v)` order, but almost
-//! never all of them — BKRUS stops at `V - 1` acceptances. The dense
-//! supply materializes and sorts all `n(n-1)/2` edges up front
-//! (`O(n² log n)`); the sparse supply generates the same sequence
-//! incrementally from the [`NeighborIndex`], in expanding weight windows,
-//! paying only for the prefix actually consumed.
+//! never all of them — BKRUS stops at `V - 1` acceptances. [`EdgeStream`]
+//! generates that sequence incrementally from the [`NeighborIndex`], in
+//! expanding weight windows, paying only for the prefix actually consumed
+//! instead of materializing and sorting all `n(n-1)/2` edges up front.
 //!
-//! Both supplies yield **bit-identical** sequences: edge weights come from
-//! the same `Metric::dist` evaluations the distance matrix stores, the
-//! canonical order is a strict total order (`total_cmp` plus endpoint
-//! tie-breaks), and the expanding half-open weight windows `(t0, t1],
-//! (t1, t2], …` partition the edge set — equal-weight ties always land in
-//! the same window, so sorting each window locally reproduces the global
-//! sort exactly. The registry golden tests and the sparse/dense
-//! equivalence proptests pin this.
+//! The stream is **bit-identical** to the fully sorted edge list
+//! ([`ProblemContext::sorted_edges`]): edge weights come from the same
+//! `Metric::dist` evaluations the distance matrix stores, the canonical
+//! order is a strict total order (`total_cmp` plus endpoint tie-breaks),
+//! and the expanding half-open weight windows `(t0, t1], (t1, t2], …`
+//! partition the edge set — equal-weight ties always land in the same
+//! window, so sorting each window locally reproduces the global sort
+//! exactly. The registry golden tests and the supply oracle proptests pin
+//! this.
 
 use bmst_geom::NeighborIndex;
 use bmst_graph::{sort_edges, Edge};
@@ -23,108 +24,18 @@ use bmst_graph::{sort_edges, Edge};
 use crate::cancel::CancelToken;
 use crate::ProblemContext;
 
-/// Which edge-candidate supply a [`ProblemContext`] hands to builders.
-///
-/// `Auto` (the default) picks the sparse supply once a net is large enough
-/// for the dense matrix + full edge sort to dominate, and stays dense for
-/// small nets where the flat matrix is faster than index queries. Both
-/// paths produce bit-identical trees; the knob only trades construction
-/// time and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EdgeSupply {
-    /// Size-based choice: dense below [`EdgeSupply::AUTO_SPARSE_MIN`]
-    /// terminals, sparse at or above it.
-    #[default]
-    Auto,
-    /// Always materialize the dense distance matrix and fully sorted edge
-    /// list (the exact-parity fallback; fastest for small nets).
-    Dense,
-    /// Always generate edges lazily from the grid neighbor index.
-    Sparse,
-}
-
-impl EdgeSupply {
-    /// Terminal count at which `Auto` switches to the sparse supply.
-    ///
-    /// Below this the dense matrix fits comfortably in cache and beats
-    /// per-query index arithmetic; above it the `O(n²)` materialization
-    /// dominates construction time.
-    pub const AUTO_SPARSE_MIN: usize = 128;
-
-    /// Resolves the knob for a net with `num_nodes` terminals.
-    #[inline]
-    pub fn is_sparse_for(self, num_nodes: usize) -> bool {
-        match self {
-            EdgeSupply::Dense => false,
-            EdgeSupply::Sparse => true,
-            EdgeSupply::Auto => num_nodes >= Self::AUTO_SPARSE_MIN,
-        }
-    }
-
-    /// Stable lowercase name (used in bench record keys and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeSupply::Auto => "auto",
-            EdgeSupply::Dense => "dense",
-            EdgeSupply::Sparse => "sparse",
-        }
-    }
-}
-
 /// An iterator over the complete terminal graph's edges in canonical
-/// nondecreasing `(weight, u, v)` order, backed by either supply.
+/// nondecreasing `(weight, u, v)` order.
 ///
-/// Obtained from [`ProblemContext::edge_stream`]. The dense backing walks
-/// the cached sorted edge list; the sparse backing generates edges in
-/// expanding weight windows from the neighbor index (each window's
-/// generation runs under the `context.edge_stream` span).
+/// Obtained from [`ProblemContext::edge_stream`]. Maintains a half-open
+/// weight window `(lo, hi]` that starts at the index's cell size (the
+/// expected nearest-neighbor length) and doubles until it covers the
+/// diameter bound. Each refill collects every edge whose weight falls in
+/// the window, sorts it canonically, and serves it out; concatenated
+/// windows reproduce the globally sorted edge list bit-for-bit (see the
+/// module docs for why ties cannot straddle a window). Each window's
+/// generation runs under the `context.edge_stream` span.
 pub struct EdgeStream<'c> {
-    imp: StreamImpl<'c>,
-}
-
-enum StreamImpl<'c> {
-    Dense(std::iter::Copied<std::slice::Iter<'c, Edge>>),
-    Sparse(SparseEdgeStream<'c>),
-}
-
-impl<'c> EdgeStream<'c> {
-    pub(crate) fn dense(sorted: &'c [Edge]) -> Self {
-        EdgeStream {
-            imp: StreamImpl::Dense(sorted.iter().copied()),
-        }
-    }
-
-    pub(crate) fn sparse(cx: &'c ProblemContext<'_>) -> Self {
-        EdgeStream {
-            imp: StreamImpl::Sparse(SparseEdgeStream::new(
-                cx.neighbor_index(),
-                cx.cancel_token().clone(),
-            )),
-        }
-    }
-}
-
-impl Iterator for EdgeStream<'_> {
-    type Item = Edge;
-
-    fn next(&mut self) -> Option<Edge> {
-        match &mut self.imp {
-            StreamImpl::Dense(it) => it.next(),
-            StreamImpl::Sparse(s) => s.next(),
-        }
-    }
-}
-
-/// Lazy increasing-weight edge generation over a [`NeighborIndex`].
-///
-/// Maintains a half-open weight window `(lo, hi]` that starts at the
-/// index's cell size (the expected nearest-neighbor length) and doubles
-/// until it covers the diameter bound. Each refill collects every edge
-/// whose weight falls in the window, sorts it canonically, and serves it
-/// out; concatenated windows reproduce the globally sorted edge list
-/// bit-for-bit (see the module docs for why ties cannot straddle a
-/// window).
-struct SparseEdgeStream<'c> {
     index: &'c NeighborIndex<'c>,
     lo: f64,
     hi: f64,
@@ -140,8 +51,9 @@ struct SparseEdgeStream<'c> {
     cancel: CancelToken,
 }
 
-impl<'c> SparseEdgeStream<'c> {
-    fn new(index: &'c NeighborIndex<'c>, cancel: CancelToken) -> Self {
+impl<'c> EdgeStream<'c> {
+    pub(crate) fn new(cx: &'c ProblemContext<'_>) -> Self {
+        let index = cx.neighbor_index();
         let diameter = index.diameter_bound();
         // First window: the expected nearest-neighbor scale, floored away
         // from zero so doubling always terminates, capped at the diameter
@@ -151,7 +63,7 @@ impl<'c> SparseEdgeStream<'c> {
             .cell_size()
             .max(diameter * 1e-6)
             .max(f64::MIN_POSITIVE);
-        SparseEdgeStream {
+        EdgeStream {
             index,
             lo: -1.0,
             hi: first.min(diameter),
@@ -159,7 +71,7 @@ impl<'c> SparseEdgeStream<'c> {
             batch: Vec::new(),
             pos: 0,
             scratch: Vec::new(),
-            cancel,
+            cancel: cx.cancel_token().clone(),
         }
     }
 
@@ -214,7 +126,7 @@ impl<'c> SparseEdgeStream<'c> {
     }
 }
 
-impl Iterator for SparseEdgeStream<'_> {
+impl Iterator for EdgeStream<'_> {
     type Item = Edge;
 
     fn next(&mut self) -> Option<Edge> {
@@ -253,38 +165,22 @@ mod tests {
     }
 
     #[test]
-    fn sparse_stream_equals_dense_sorted_edges() {
+    fn stream_equals_sorted_edges() {
         for n in [2, 3, 17, 60] {
             let net = scatter_net(n);
             let cx = ProblemContext::new(&net, 0.5).unwrap();
-            let dense: Vec<Edge> = cx.sorted_edges().to_vec();
-            let sparse: Vec<Edge> = EdgeStream::sparse(&cx).collect();
-            assert_eq!(dense, sparse, "n = {n}");
+            let streamed: Vec<Edge> = cx.edge_stream().collect();
+            assert_eq!(streamed, cx.sorted_edges().to_vec(), "n = {n}");
         }
     }
 
     #[test]
-    fn sparse_stream_handles_coincident_points() {
+    fn stream_handles_coincident_points() {
         let net = Net::with_source_first(vec![Point::new(1.0, 1.0); 4]).unwrap();
         let cx = ProblemContext::unbounded(&net);
-        let sparse: Vec<Edge> = EdgeStream::sparse(&cx).collect();
-        assert_eq!(sparse, cx.sorted_edges().to_vec());
-        assert_eq!(sparse.len(), 6);
-        assert!(sparse.iter().all(|e| e.weight == 0.0));
-    }
-
-    #[test]
-    fn auto_threshold_resolves_by_size() {
-        assert!(!EdgeSupply::Auto.is_sparse_for(EdgeSupply::AUTO_SPARSE_MIN - 1));
-        assert!(EdgeSupply::Auto.is_sparse_for(EdgeSupply::AUTO_SPARSE_MIN));
-        assert!(EdgeSupply::Sparse.is_sparse_for(2));
-        assert!(!EdgeSupply::Dense.is_sparse_for(1_000_000));
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(EdgeSupply::Auto.name(), "auto");
-        assert_eq!(EdgeSupply::Dense.name(), "dense");
-        assert_eq!(EdgeSupply::Sparse.name(), "sparse");
+        let streamed: Vec<Edge> = cx.edge_stream().collect();
+        assert_eq!(streamed, cx.sorted_edges().to_vec());
+        assert_eq!(streamed.len(), 6);
+        assert!(streamed.iter().all(|e| e.weight == 0.0));
     }
 }

@@ -3,14 +3,22 @@
 //! bit-identical to the uninstrumented run.
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use bmst_core::{
-    bkex, bkh2, bkrus, bprim, find_builder, gabow_bmst, BkexConfig, EdgeSupply, ProblemContext,
-};
+use bmst_core::{bkex, bkh2, bkrus, bprim, gabow_bmst, registry, BkexConfig, ProblemContext};
 use bmst_geom::{Net, Point};
 use bmst_obs::{NoopRecorder, SpanTreeRecorder, SummaryRecorder};
 use bmst_tree::RoutingTree;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Serialises the tests in this file. An installed recorder is
+/// process-wide, so an uninstrumented baseline running on another test
+/// thread would otherwise leak its spans into this test's recorder.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn test_net() -> Net {
     Net::with_source_first(vec![
@@ -50,6 +58,7 @@ fn assert_identical(a: &RoutingTree, b: &RoutingTree) {
 
 #[test]
 fn recorders_leave_outputs_bit_identical() {
+    let _serial = serial();
     let net = test_net();
     for eps in [0.0, 0.3, f64::INFINITY] {
         let baseline = run_all(&net, eps);
@@ -85,12 +94,16 @@ fn recorders_leave_outputs_bit_identical() {
 
 #[test]
 fn span_tree_recorder_is_transparent_and_sees_context_spans() {
+    let _serial = serial();
     let net = test_net();
     for eps in [0.0, 0.3, f64::INFINITY] {
         let baseline = run_all(&net, eps);
         let tree = Arc::new(SpanTreeRecorder::new());
         let with_tree = {
             let _guard = bmst_obs::scoped(tree.clone());
+            // No builder reads the sorted edge list; build it directly so
+            // its span is profiled too.
+            let _ = ProblemContext::unbounded(&net).sorted_edges().len();
             run_all(&net, eps)
         };
         for (b, t) in baseline.iter().zip(&with_tree) {
@@ -98,14 +111,17 @@ fn span_tree_recorder_is_transparent_and_sees_context_spans() {
         }
         // The shared-context builders appear as spans in the profile...
         let paths: Vec<String> = tree.nodes().into_iter().map(|(p, _)| p).collect();
-        assert!(
-            paths.iter().any(|p| p.ends_with("context.matrix")),
-            "context.matrix span missing: {paths:?}"
-        );
-        assert!(
-            paths.iter().any(|p| p.ends_with("context.sorted_edges")),
-            "context.sorted_edges span missing: {paths:?}"
-        );
+        for span in [
+            "context.matrix",
+            "context.sorted_edges",
+            "context.neighbor_index",
+            "context.edge_stream",
+        ] {
+            assert!(
+                paths.iter().any(|p| p.ends_with(span)),
+                "{span} span missing: {paths:?}"
+            );
+        }
         // ...and sorted_edges must NOT nest the matrix build (it is hoisted
         // out so each span reports honest self time).
         assert!(
@@ -119,6 +135,7 @@ fn span_tree_recorder_is_transparent_and_sees_context_spans() {
 
 #[test]
 fn forest_merge_span_is_recorded_under_builders() {
+    let _serial = serial();
     let net = test_net();
     let tree = Arc::new(SpanTreeRecorder::new());
     {
@@ -135,46 +152,39 @@ fn forest_merge_span_is_recorded_under_builders() {
     assert_eq!(merged, 5, "every accepted edge performs one merge");
 }
 
+/// `n` uniformly scattered terminals, source first.
+fn scatter_net(n: usize) -> Net {
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let pts = (0..n)
+        .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+        .collect();
+    Net::with_source_first(pts).unwrap()
+}
+
 #[test]
-fn sparse_supply_is_bit_identical_and_emits_index_spans() {
-    let net = test_net();
-    for eps in [0.0, 0.3, f64::INFINITY] {
-        for name in ["bkrus", "bprim"] {
-            // Fresh contexts per builder: the neighbor index is cached in a
-            // OnceLock, and its construction span only fires on first use.
-            let dense_cx = ProblemContext::new(&net, eps)
-                .unwrap()
-                .with_edge_supply(EdgeSupply::Dense);
-            let sparse_cx = ProblemContext::new(&net, eps)
-                .unwrap()
-                .with_edge_supply(EdgeSupply::Sparse);
-            let builder = find_builder(name).unwrap();
-            let dense = builder.build(&dense_cx).unwrap();
-
-            // The sparse run is both instrumented and supplied from the
-            // neighbor index — it must still match the dense tree exactly.
+fn only_exact_builders_build_the_matrix() {
+    let _serial = serial();
+    // A small and a large net: no size may fall back to the matrix.
+    for sinks in [20, 200] {
+        let net = scatter_net(sinks + 1);
+        for builder in registry() {
+            let name = builder.descriptor().name;
+            // The exact searches (and BKH2, BKEX's depth-2 exchange)
+            // revisit every pair many times and keep the matrix.
+            if matches!(name, "gabow" | "bkex" | "bkh2") {
+                continue;
+            }
+            let cx = ProblemContext::new(&net, 0.5).unwrap();
             let tree = Arc::new(SpanTreeRecorder::new());
-            let sparse = {
+            {
                 let _guard = bmst_obs::scoped(tree.clone());
-                builder.build(&sparse_cx).unwrap()
-            };
-            assert_identical(&dense, &sparse);
-
+                // Only the spans matter: an infeasible delay bound is fine.
+                let _ = builder.build(&cx);
+            }
             let paths: Vec<String> = tree.nodes().into_iter().map(|(p, _)| p).collect();
             assert!(
-                paths.iter().any(|p| p.ends_with("context.neighbor_index")),
-                "{name}: context.neighbor_index span missing: {paths:?}"
-            );
-            if name == "bkrus" {
-                // BKRUS drains the lazy stream, so refill windows appear.
-                assert!(
-                    paths.iter().any(|p| p.ends_with("context.edge_stream")),
-                    "bkrus: context.edge_stream span missing: {paths:?}"
-                );
-            }
-            assert!(
                 !paths.iter().any(|p| p.ends_with("context.matrix")),
-                "{name}: sparse run must not build the dense matrix: {paths:?}"
+                "{name} at {sinks} sinks built the matrix: {paths:?}"
             );
         }
     }
@@ -182,6 +192,7 @@ fn sparse_supply_is_bit_identical_and_emits_index_spans() {
 
 #[test]
 fn spans_nest_across_algorithm_layers() {
+    let _serial = serial();
     let net = test_net();
     let rec = Arc::new(SummaryRecorder::new());
     {

@@ -122,7 +122,7 @@ pub fn prim_mst(d: &DistanceMatrix, root: usize) -> Vec<Edge> {
 /// matrix: `dist(i, j)` must return the edge weight between nodes `i` and
 /// `j` of a complete graph on `n` nodes. Same `O(V^2)` selection — and the
 /// same tree, bit for bit, when `dist` returns the bits the matrix would
-/// hold — but `O(V)` memory, which is what sparse-supply callers need.
+/// hold — but `O(V)` memory, which is what matrix-free callers need.
 ///
 /// # Panics
 ///

@@ -26,6 +26,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one line of
+/// `[` overflow the thread's stack — an abort no caller can catch.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects preserve insertion order (no deduplication).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -98,12 +103,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the byte offset and a message on malformed input
-    /// or trailing garbage.
+    /// [`JsonError`] with the byte offset and a message on malformed input,
+    /// trailing garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -199,6 +205,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,12 +259,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs a container parser one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -510,6 +533,19 @@ mod tests {
             assert!(!err.msg.is_empty(), "no message for {bad:?}");
             assert!(err.to_string().contains("json error"), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error() {
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.msg.contains("nesting"), "{err}");
+            assert_eq!(err.pos, MAX_DEPTH * (deep.len() / 100_000));
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

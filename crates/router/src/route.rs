@@ -11,9 +11,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bmst_core::{
-    BmstError, BuilderDescriptor, CancelToken, EdgeSupply, ProblemContext, TreeBuilder,
-};
+use bmst_core::{BmstError, BuilderDescriptor, CancelToken, ProblemContext, TreeBuilder};
 use bmst_obs::Field;
 
 use crate::{Criticality, NamedNet, Netlist, RelaxationStep, RouteFailure, RouteReport, RoutedNet};
@@ -215,10 +213,6 @@ pub struct RouterConfig {
     /// spawns worker threads; netlists with less total work than this
     /// route serially (thread setup would dominate). `0` never bypasses.
     pub parallel_min_terminals: usize,
-    /// Edge-candidate supply handed to every per-net [`ProblemContext`]
-    /// (dense matrix vs. lazy neighbor-index stream; trees are
-    /// bit-identical either way).
-    pub edge_supply: EdgeSupply,
     /// Cancellation/deadline token polled at every relaxation-ladder rung
     /// and inside the BKRUS/BPRIM construction loops. The default
     /// never-token makes every poll free; request owners arm one with
@@ -235,7 +229,6 @@ impl Default for RouterConfig {
             algorithm: RouteAlgorithm::bkrus(),
             relaxation: RelaxationPolicy::default(),
             parallel_min_terminals: 64,
-            edge_supply: EdgeSupply::Auto,
             cancel: CancelToken::never(),
         }
     }
@@ -268,13 +261,10 @@ fn attempt(
     n: &NamedNet,
     builder: &'static dyn TreeBuilder,
     eps: f64,
-    supply: EdgeSupply,
     cancel: &CancelToken,
     emit_diagnostics: bool,
 ) -> Result<bmst_tree::RoutingTree, BmstError> {
-    let cx = ProblemContext::new(&n.net, eps)?
-        .with_edge_supply(supply)
-        .with_cancel(cancel.clone());
+    let cx = ProblemContext::new(&n.net, eps)?.with_cancel(cancel.clone());
     if emit_diagnostics && bmst_obs::enabled() {
         for diag in cx.diagnostics() {
             bmst_obs::event(
@@ -320,7 +310,6 @@ fn route_named(
             n,
             config.algorithm.builder,
             eps,
-            config.edge_supply,
             &config.cancel,
             attempts.is_empty(),
         ) {
@@ -376,14 +365,7 @@ fn route_named(
                                 ],
                             );
                         }
-                        match attempt(
-                            n,
-                            spt_builder(),
-                            eps,
-                            config.edge_supply,
-                            &config.cancel,
-                            false,
-                        ) {
+                        match attempt(n, spt_builder(), eps, &config.cancel, false) {
                             Ok(tree) => break tree,
                             Err(spt_err) => {
                                 attempts.push(RelaxationStep {

@@ -12,7 +12,6 @@
 //! `bad_request` response (with whatever `id` could be recovered) and the
 //! reader moves on to the next line.
 
-use bmst_core::EdgeSupply;
 use bmst_obs::json::{escape, Json};
 use bmst_router::RouteAlgorithm;
 
@@ -58,8 +57,6 @@ pub struct RouteRequest {
     pub eps_relaxed: Option<f64>,
     /// End-to-end time budget in milliseconds, queue wait included.
     pub budget_ms: Option<u64>,
-    /// Edge-candidate supply (`"auto"`, `"dense"`, `"sparse"`).
-    pub supply: Option<EdgeSupply>,
     /// Cap on the degradation ladder's stepped relaxations.
     pub max_relaxations: Option<usize>,
     /// Whether the report cache may serve/store this request (default
@@ -161,15 +158,6 @@ fn parse_route(value: &Json) -> Result<Request, String> {
         None => None,
         Some(v) => Some(parse_u64(v, "budget_ms")?),
     };
-    let supply = match value.get("supply") {
-        None => None,
-        Some(v) => Some(match v.as_str() {
-            Some("auto") => EdgeSupply::Auto,
-            Some("dense") => EdgeSupply::Dense,
-            Some("sparse") => EdgeSupply::Sparse,
-            _ => return Err("supply must be \"auto\", \"dense\", or \"sparse\"".to_owned()),
-        }),
-    };
     let max_relaxations = match value.get("max_relaxations") {
         None => None,
         Some(v) => {
@@ -189,7 +177,6 @@ fn parse_route(value: &Json) -> Result<Request, String> {
         eps_normal: eps[1],
         eps_relaxed: eps[2],
         budget_ms,
-        supply,
         max_relaxations,
         use_cache,
     })))
@@ -243,7 +230,7 @@ mod tests {
     #[test]
     fn parses_full_knobs_and_echoes_id() {
         let env = parse_line(
-            r#"{"id":42,"op":"route","netlist":"x","algorithm":"bprim","eps_critical":0.25,"eps_relaxed":"inf","budget_ms":50,"supply":"sparse","max_relaxations":1,"cache":false}"#,
+            r#"{"id":42,"op":"route","netlist":"x","algorithm":"bprim","eps_critical":0.25,"eps_relaxed":"inf","budget_ms":50,"max_relaxations":1,"cache":false}"#,
         )
         .unwrap();
         assert_eq!(env.id, Json::Num(42.0));
@@ -255,7 +242,6 @@ mod tests {
         assert_eq!(r.eps_normal, None);
         assert_eq!(r.eps_relaxed, Some(f64::INFINITY));
         assert_eq!(r.budget_ms, Some(50));
-        assert_eq!(r.supply, Some(EdgeSupply::Sparse));
         assert_eq!(r.max_relaxations, Some(1));
         assert!(!r.use_cache);
     }
@@ -292,7 +278,6 @@ mod tests {
             r#"{"op":"route","netlist":"x","eps_critical":-1}"#,
             r#"{"op":"route","netlist":"x","eps_critical":"huge"}"#,
             r#"{"op":"route","netlist":"x","algorithm":"nope"}"#,
-            r#"{"op":"route","netlist":"x","supply":"gpu"}"#,
             r#"{"op":"route","netlist":"x","budget_ms":-5}"#,
             r#"{"op":"route","netlist":"x","cache":"yes"}"#,
             r#"[1,2,3]"#,

@@ -556,9 +556,6 @@ fn request_config(req: &RouteRequest, token: CancelToken) -> RouterConfig {
     if let Some(e) = req.eps_relaxed {
         config.eps_relaxed = e;
     }
-    if let Some(s) = req.supply {
-        config.edge_supply = s;
-    }
     if let Some(m) = req.max_relaxations {
         config.relaxation.max_relaxations = m;
     }
@@ -576,7 +573,6 @@ fn request_key(netlist: &str, config: &RouterConfig) -> u64 {
     fp.field(&config.eps_critical.to_bits().to_le_bytes());
     fp.field(&config.eps_normal.to_bits().to_le_bytes());
     fp.field(&config.eps_relaxed.to_bits().to_le_bytes());
-    fp.field(format!("{:?}", config.edge_supply).as_bytes());
     fp.field(&(config.relaxation.max_relaxations as u64).to_le_bytes());
     fp.finish()
 }
@@ -703,15 +699,19 @@ fn admit(
         fault,
         out: out.clone(),
     };
+    // Count the job before it becomes visible to workers: a worker's
+    // decrement can land as soon as `try_send` returns, and a decrement
+    // ahead of its increment would wrap the unsigned depth.
+    state.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
     match tx.try_send(job) {
         Ok(()) => {
             state.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            state.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
             if bmst_obs::enabled() {
                 bmst_obs::counter("serve.accepted", 1);
             }
         }
         Err(TrySendError::Full(job)) => {
+            state.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
             lock_recover(&state.inflight).remove(&seq);
             state.counters.shed.fetch_add(1, Ordering::Relaxed);
             if bmst_obs::enabled() {
@@ -725,6 +725,7 @@ fn admit(
             ));
         }
         Err(TrySendError::Disconnected(job)) => {
+            state.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
             lock_recover(&state.inflight).remove(&seq);
             job.out.write_line(&protocol::render_error(
                 &job.id,
@@ -805,5 +806,19 @@ mod tests {
         assert_ne!(k1, k3);
         // Budget is not part of the key: same knobs, same key.
         assert_eq!(k1, request_key("net a normal\n0 0\n1 1\nend\n", &base));
+    }
+
+    #[test]
+    fn retired_supply_knob_is_ignored_and_shares_the_cache_entry() {
+        let key = |line: &str| {
+            let Request::Route(req) = protocol::parse_line(line).unwrap().request else {
+                panic!("expected route")
+            };
+            request_key(&req.netlist, &request_config(&req, CancelToken::never()))
+        };
+        let plain =
+            r#"{"op":"route","algorithm":"bprim","netlist":"net a normal\n0 0\n1 1\nend\n"}"#;
+        let with_supply = r#"{"op":"route","algorithm":"bprim","supply":"dense","netlist":"net a normal\n0 0\n1 1\nend\n"}"#;
+        assert_eq!(key(plain), key(with_supply));
     }
 }
