@@ -1,11 +1,18 @@
 //! Emits the machine-readable bench trajectory: `BENCH_table2.json` with one
 //! record per `(benchmark, algorithm, eps)` — path/perf ratios, wall-clock,
-//! and an instrumentation counter snapshot for each construction — plus a
-//! serial-vs-parallel netlist routing comparison.
+//! and an instrumentation counter snapshot for each construction — plus the
+//! `scaling.*` ladders that `cargo xtask check-perf` gates and the
+//! analysis-gate timings.
 //!
 //! The construction set is discovered from the builder registry rather than
 //! hard-coded: every eps-driven builder (`Window` / `PerNode` bound) is
 //! swept, with the exponential exact methods gated to small nets.
+//!
+//! End-to-end timings live in the repository benchmark (`benchmark/`),
+//! which samples repeatedly and states spreads: serve latency and
+//! throughput are its `serve-hot` workload, the pool speedup is
+//! `router.route.pool_speedup` and the robustness-layer cost is
+//! `router.route.ladder_overhead_ratio`.
 //!
 //! Run: `cargo run --release -p bmst-bench --bin bench_trajectory [--out DIR] [--quick]`
 //!
@@ -133,84 +140,8 @@ fn sweep_registry(quick: bool, records: &mut Vec<BenchRecord>) {
     }
 }
 
-/// The synthetic all-feasible netlist shared by the serial/parallel
-/// comparison and the robustness-overhead measurement.
-fn synthetic_netlist(num_nets: usize) -> Netlist {
-    let classes = [
-        Criticality::Critical,
-        Criticality::Normal,
-        Criticality::Relaxed,
-    ];
-    let nets: Vec<NamedNet> = (0..num_nets)
-        .map(|i| {
-            let net = bmst_instances::uniform_cloud(6 + (i % 10), 200.0, 0xBE57 + i as u64);
-            NamedNet::new(format!("n{i}"), net, classes[i % classes.len()])
-        })
-        .collect();
-    Netlist::new(nets)
-}
-
-/// Routes the same toy netlist serially and with 4 workers, asserts the
-/// outputs are structurally identical, and records both timings. The nets
-/// here are 6-15 sinks — far below `parallel_min_terminals` — so the
-/// observed "speedup" is dominated by thread-pool overhead; the records
-/// carry a `-toy` suffix (and the counter a `_toy` suffix) to say so.
-/// They are kept for trajectory continuity; `netlist_comparison` below
-/// holds the honest measurement.
-fn netlist_comparison_toy(quick: bool, records: &mut Vec<BenchRecord>) {
-    let num_nets = if quick { 8 } else { 24 };
-    let netlist = synthetic_netlist(num_nets);
-    // Threshold off: the jobs-4 record must measure the worker pool, not
-    // the small-netlist serial bypass.
-    let config = RouterConfig {
-        parallel_min_terminals: 0,
-        ..RouterConfig::default()
-    };
-    let bench_name = format!("netlist{num_nets}");
-
-    let (serial, serial_s) = timed(|| netlist.route(&config));
-    assert!(serial.is_clean(), "synthetic netlist must route cleanly");
-    let jobs = 4;
-    let (parallel, parallel_s) = timed(|| netlist.route_parallel(&config, jobs));
-    assert_eq!(
-        serial.to_json().to_string(),
-        parallel.to_json().to_string(),
-        "parallel routing must be byte-identical to serial"
-    );
-
-    let max_radius = serial.nets.iter().map(|n| n.radius).fold(0.0_f64, f64::max);
-    let record = |algorithm: &str, wall_s: f64, jobs: u64, speedup_milli: u64| BenchRecord {
-        bench: bench_name.clone(),
-        algorithm: algorithm.to_owned(),
-        eps: config.eps_normal,
-        cost: serial.total_wirelength,
-        longest_path: max_radius,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s,
-        counters: [
-            ("router.jobs".to_owned(), jobs),
-            ("router.nets".to_owned(), num_nets as u64),
-            ("router.speedup_milli_toy".to_owned(), speedup_milli),
-        ]
-        .into(),
-    };
-    let speedup_milli = if parallel_s > 0.0 {
-        (serial_s / parallel_s * 1000.0) as u64
-    } else {
-        0
-    };
-    records.push(record("netlist-serial-toy", serial_s, 1, 1000));
-    records.push(record(
-        "netlist-jobs4-toy",
-        parallel_s,
-        jobs as u64,
-        speedup_milli,
-    ));
-}
-
-/// A netlist of `count` scaled `sinks`-sink nets — big enough that the
-/// default `parallel_min_terminals` threshold admits the worker pool, so
+/// A netlist of `count` scaled `sinks`-sink nets — big enough that
+/// `bmst_router::PARALLEL_MIN_TERMINALS` admits the worker pool, so
 /// parallel timings measure real work, not pool overhead.
 fn scaled_netlist(count: usize, sinks: usize) -> Netlist {
     let classes = [
@@ -225,67 +156,6 @@ fn scaled_netlist(count: usize, sinks: usize) -> Netlist {
         })
         .collect();
     Netlist::new(nets)
-}
-
-/// The honest serial-vs-4-jobs comparison (the fix for the misleading
-/// `router.speedup_milli` record): a netlist whose terminal count clears
-/// the *default* `parallel_min_terminals` threshold by an order of
-/// magnitude, routed under the default config. Outputs are asserted
-/// byte-identical; `router.speedup_milli` is serial/parallel wall x1000,
-/// so > 1000 means parallel routing actually won.
-fn netlist_comparison(quick: bool, records: &mut Vec<BenchRecord>) {
-    // Per-net work must dwarf thread-pool startup for the comparison to
-    // measure routing rather than spawning: 120-sink nets take ~ms each.
-    let (num_nets, sinks) = if quick { (8, 150) } else { (24, 150) };
-    let netlist = scaled_netlist(num_nets, sinks);
-    let config = RouterConfig::default();
-    let total_terminals: usize = netlist.nets.iter().map(|n| n.net.len()).sum();
-    assert!(
-        total_terminals >= 10 * config.parallel_min_terminals,
-        "honest comparison must dwarf the parallel threshold"
-    );
-    let bench_name = format!("scaled-netlist{num_nets}");
-
-    let (serial, serial_s) = timed(|| netlist.route(&config));
-    assert!(serial.is_clean(), "scaled netlist must route cleanly");
-    let jobs = 4;
-    let (parallel, parallel_s) = timed(|| netlist.route_parallel(&config, jobs));
-    assert_eq!(
-        serial.to_json().to_string(),
-        parallel.to_json().to_string(),
-        "parallel routing must be byte-identical to serial"
-    );
-
-    let max_radius = serial.nets.iter().map(|n| n.radius).fold(0.0_f64, f64::max);
-    let speedup_milli = if parallel_s > 0.0 {
-        (serial_s / parallel_s * 1000.0) as u64
-    } else {
-        0
-    };
-    let record = |algorithm: &str, wall_s: f64, jobs: u64, speedup_milli: u64| BenchRecord {
-        bench: bench_name.clone(),
-        algorithm: algorithm.to_owned(),
-        eps: config.eps_normal,
-        cost: serial.total_wirelength,
-        longest_path: max_radius,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s,
-        counters: [
-            ("router.jobs".to_owned(), jobs),
-            ("router.nets".to_owned(), num_nets as u64),
-            ("router.terminals".to_owned(), total_terminals as u64),
-            ("router.speedup_milli".to_owned(), speedup_milli),
-        ]
-        .into(),
-    };
-    records.push(record("netlist-serial", serial_s, 1, 1000));
-    records.push(record(
-        "netlist-jobs4",
-        parallel_s,
-        jobs as u64,
-        speedup_milli,
-    ));
 }
 
 /// Representative bound for the scaling sweep: loose enough that every
@@ -421,170 +291,6 @@ fn scaling_sweep(quick: bool, records: &mut Vec<BenchRecord>) {
     scaling_fit_record("router", &points, records);
 }
 
-/// Measures what the robustness layer costs when nothing goes wrong: the
-/// guarded `route` pass (input validation, `catch_unwind`, window
-/// post-check, ladder bookkeeping, report assembly) against a raw loop
-/// calling the same builder directly on the same all-feasible netlist.
-/// The `router.overhead_milli` counter is guarded/raw wall-clock x1000,
-/// so the <2% happy-path budget reads as `<= 1020` in BENCH_table2.json.
-fn robustness_overhead(quick: bool, records: &mut Vec<BenchRecord>) {
-    let num_nets = if quick { 8 } else { 24 };
-    let netlist = synthetic_netlist(num_nets);
-    let config = RouterConfig::default();
-    let builder = config.algorithm.builder();
-
-    // Best-of-N on both paths to squeeze out scheduler noise; the two
-    // loops interleave so frequency scaling hits them evenly.
-    let rounds = if quick { 3 } else { 7 };
-    let mut raw_s = f64::INFINITY;
-    let mut guarded_s = f64::INFINITY;
-    let mut guarded_cost = 0.0;
-    for _ in 0..rounds {
-        let (raw_cost, t) = timed(|| {
-            let mut cost = 0.0;
-            for n in &netlist.nets {
-                let cx = ProblemContext::new(&n.net, config.eps_for(n.criticality))
-                    .expect("synthetic nets are valid");
-                cost += builder
-                    .build(&cx)
-                    .expect("synthetic nets are feasible")
-                    .cost();
-            }
-            cost
-        });
-        raw_s = raw_s.min(t);
-        let (report, t) = timed(|| netlist.route(&config));
-        assert!(
-            report.is_clean(),
-            "overhead bench must stay on the happy path"
-        );
-        assert!((report.total_wirelength - raw_cost).abs() < 1e-6);
-        guarded_cost = report.total_wirelength;
-        guarded_s = guarded_s.min(t);
-    }
-
-    let overhead_milli = if raw_s > 0.0 {
-        (guarded_s / raw_s * 1000.0) as u64
-    } else {
-        0
-    };
-    records.push(BenchRecord {
-        bench: format!("netlist{num_nets}"),
-        algorithm: "netlist-guarded".to_owned(),
-        eps: config.eps_normal,
-        cost: guarded_cost,
-        longest_path: 0.0,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s: guarded_s,
-        counters: [
-            ("router.nets".to_owned(), num_nets as u64),
-            ("router.overhead_milli".to_owned(), overhead_milli),
-        ]
-        .into(),
-    });
-}
-
-/// Times the serving layer end to end: an in-process `bmst-serve` server
-/// answers pipelined route requests over a real TCP loopback connection,
-/// once with the report cache bypassed (`serve.roundtrip.micros`: parse,
-/// admission, routing, render, write) and once against a warm LRU entry
-/// (`serve.cache_hit.micros`: everything but the routing). Both loops are
-/// guarded — every response must be `ok` with the expected `cached` flag,
-/// so a protocol or cache regression fails the bench instead of skewing
-/// the numbers.
-fn serve_roundtrip(quick: bool, records: &mut Vec<BenchRecord>) {
-    use std::io::{BufRead, BufReader, Write};
-
-    let server = match bmst_serve::Server::bind(bmst_serve::ServeConfig {
-        workers: 2,
-        cache_entries: 16,
-        ..bmst_serve::ServeConfig::default()
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve bench skipped: cannot bind loopback: {e}");
-            return;
-        }
-    };
-    let addr = server.local_addr();
-    let run = std::thread::spawn(move || server.run());
-
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to in-process server");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .expect("socket timeout");
-    // One write per request and no Nagle buffering: the bench measures
-    // the serving layer, not the kernel's delayed-ACK timer.
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
-    let mut roundtrip = |line: &str, want_cached: &str| {
-        let mut framed = line.as_bytes().to_vec();
-        framed.push(b'\n');
-        stream.write_all(&framed).expect("write request");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("read response");
-        assert!(response.contains("\"ok\":true"), "{response}");
-        assert!(response.contains(want_cached), "{response}");
-    };
-
-    let netlist = "net a critical\\n0 0\\n10 0\\n9 5\\n3 7\\nend\\n";
-    let uncached =
-        format!("{{\"id\":1,\"op\":\"route\",\"netlist\":\"{netlist}\",\"cache\":false}}");
-    let cached = format!("{{\"id\":2,\"op\":\"route\",\"netlist\":\"{netlist}\"}}");
-    let rounds: u32 = if quick { 20 } else { 100 };
-
-    // Warm both paths: first JIT-ish costs (lazy statics, allocator), then
-    // the LRU entry the cached loop will hit.
-    roundtrip(&uncached, "\"cached\":false");
-    roundtrip(&cached, "\"cached\":false");
-
-    let ((), uncached_s) = timed(|| {
-        for _ in 0..rounds {
-            roundtrip(&uncached, "\"cached\":false");
-        }
-    });
-    let ((), cached_s) = timed(|| {
-        for _ in 0..rounds {
-            roundtrip(&cached, "\"cached\":true");
-        }
-    });
-
-    roundtrip("{\"id\":9,\"op\":\"shutdown\"}", "\"ok\":true");
-    drop(stream);
-    drop(reader);
-    run.join()
-        .expect("server thread")
-        .expect("clean server shutdown");
-
-    let per_round = |total_s: f64| (total_s / f64::from(rounds) * 1e6) as u64;
-    let record = |algorithm: &str, wall_s: f64, counter: &str| BenchRecord {
-        bench: "serve-loopback".to_owned(),
-        algorithm: algorithm.to_owned(),
-        eps: 0.0,
-        cost: 0.0,
-        longest_path: 0.0,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s,
-        counters: [
-            (counter.to_owned(), per_round(wall_s)),
-            ("serve.rounds".to_owned(), u64::from(rounds)),
-        ]
-        .into(),
-    };
-    records.push(record(
-        "serve-roundtrip",
-        uncached_s,
-        "serve.roundtrip.micros",
-    ));
-    records.push(record(
-        "serve-cache-hit",
-        cached_s,
-        "serve.cache_hit.micros",
-    ));
-}
-
 /// Times a full `bmst-analyze` workspace pass so the cost of the
 /// analysis gate stays visible in the trajectory: `lint.millis` is the
 /// wall-clock of `cargo xtask lint`'s engine (sans process spawn), and
@@ -700,11 +406,7 @@ fn main() {
     let mut records = Vec::new();
 
     sweep_registry(quick, &mut records);
-    netlist_comparison_toy(quick, &mut records);
-    netlist_comparison(quick, &mut records);
     scaling_sweep(quick, &mut records);
-    robustness_overhead(quick, &mut records);
-    serve_roundtrip(quick, &mut records);
     lint_gate(&mut records);
 
     match write_bench_file(&out_dir, "table2", &records) {

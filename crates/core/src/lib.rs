@@ -26,13 +26,17 @@
 //!
 //! # Contexts and builders
 //!
-//! The free functions above each derive the complete-graph distance matrix
-//! and sorted edge list from scratch. To share that state — across several
-//! constructions on one net, or across threads — build a [`ProblemContext`]
-//! once and run [`TreeBuilder`]s from the [`registry`] against it; every
-//! construction is registered under a stable kebab-case name (see
-//! [`BuilderDescriptor`]). The free functions remain as thin shims over the
-//! same drivers, so both paths produce bit-identical trees.
+//! The free functions above each build a fresh [`ProblemContext`] for
+//! their one call. A context is lazy: the grid neighbor index behind the
+//! increasing-weight [`EdgeStream`] is built when a construction first
+//! asks for it, [`ProblemContext::dist`] evaluates the metric on demand,
+//! and only the exact solvers (Gabow, BKEX and the BKH2 exchange)
+//! materialise the `O(n²)` distance matrix. To share that state — across
+//! several constructions on one net, or across threads — build a
+//! [`ProblemContext`] once and run [`TreeBuilder`]s from the [`registry`]
+//! against it; every construction is registered under a stable kebab-case
+//! name (see [`BuilderDescriptor`]). The free functions remain as thin
+//! shims over the same drivers, so both paths produce bit-identical trees.
 //!
 //! # Quick start
 //!

@@ -57,4 +57,4 @@ mod route;
 
 pub use netlist::{Criticality, NamedNet, Netlist, ParseNetlistError, RejectedNet};
 pub use report::{NetStatus, RelaxationStep, RouteFailure, RouteReport, RoutedNet};
-pub use route::{RelaxationPolicy, RouteAlgorithm, RouterConfig};
+pub use route::{RelaxationPolicy, RouteAlgorithm, RouterConfig, PARALLEL_MIN_TERMINALS};

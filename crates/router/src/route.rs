@@ -188,6 +188,11 @@ impl RelaxationPolicy {
     }
 }
 
+/// Minimum total terminal count before [`Netlist::route_parallel`] spawns
+/// worker threads; netlists with less total work than this route serially
+/// (thread setup would dominate).
+pub const PARALLEL_MIN_TERMINALS: usize = 64;
+
 /// Per-criticality eps assignment and algorithm selection.
 ///
 /// The defaults encode the paper's trade-off curve: critical nets get a
@@ -209,10 +214,6 @@ pub struct RouterConfig {
     pub algorithm: RouteAlgorithm,
     /// The degradation ladder's relaxation schedule.
     pub relaxation: RelaxationPolicy,
-    /// Minimum total terminal count before [`Netlist::route_parallel`]
-    /// spawns worker threads; netlists with less total work than this
-    /// route serially (thread setup would dominate). `0` never bypasses.
-    pub parallel_min_terminals: usize,
     /// Cancellation/deadline token polled at every relaxation-ladder rung
     /// and inside the BKRUS/BPRIM construction loops. The default
     /// never-token makes every poll free; request owners arm one with
@@ -228,7 +229,6 @@ impl Default for RouterConfig {
             eps_relaxed: f64::INFINITY,
             algorithm: RouteAlgorithm::bkrus(),
             relaxation: RelaxationPolicy::default(),
-            parallel_min_terminals: 64,
             cancel: CancelToken::never(),
         }
     }
@@ -513,7 +513,7 @@ impl Netlist {
     ///
     /// `jobs` is clamped to `[1, nets]`; `jobs <= 1` delegates to the
     /// serial pass, as do netlists whose total terminal count falls below
-    /// [`RouterConfig::parallel_min_terminals`] (thread setup would cost
+    /// [`PARALLEL_MIN_TERMINALS`] (thread setup would cost
     /// more than it buys — the bypass is recorded as a
     /// `router.parallel_bypassed` event).
     #[allow(clippy::expect_used)] // worker panics are propagated, justified inline
@@ -524,13 +524,13 @@ impl Netlist {
             return self.route(config);
         }
         let terminals: usize = self.nets.iter().map(|n| n.net.len()).sum();
-        if terminals < config.parallel_min_terminals {
+        if terminals < PARALLEL_MIN_TERMINALS {
             if bmst_obs::enabled() {
                 bmst_obs::event(
                     "router.parallel_bypassed",
                     &[
                         ("terminals", Field::from(terminals)),
-                        ("threshold", Field::from(config.parallel_min_terminals)),
+                        ("threshold", Field::from(PARALLEL_MIN_TERMINALS)),
                         ("nets", Field::from(n)),
                         ("jobs", Field::from(jobs)),
                     ],
@@ -587,10 +587,19 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn random_netlist(seed: u64, nets: usize) -> Netlist {
+        netlist_with(seed, nets, |rng| rng.gen_range(3..9))
+    }
+
+    /// `nets` random nets of exactly `terminals` points each.
+    fn sized_netlist(seed: u64, nets: usize, terminals: usize) -> Netlist {
+        netlist_with(seed, nets, |_| terminals)
+    }
+
+    fn netlist_with(seed: u64, nets: usize, size: impl Fn(&mut StdRng) -> usize) -> Netlist {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = Vec::new();
         for i in 0..nets {
-            let n = rng.gen_range(3..9);
+            let n = size(&mut rng);
             let pts = (0..n)
                 .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
                 .collect();
@@ -722,22 +731,24 @@ mod tests {
         }
     }
 
-    /// The default config with the serial-bypass threshold disabled, so
-    /// small test netlists still exercise the worker pool.
-    fn parallel_config() -> RouterConfig {
-        RouterConfig {
-            parallel_min_terminals: 0,
-            ..RouterConfig::default()
-        }
+    fn terminals(nl: &Netlist) -> usize {
+        nl.nets.iter().map(|n| n.net.len()).sum()
     }
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
+        use std::sync::Arc;
         let nl = random_netlist(5, 17);
-        let cfg = parallel_config();
+        assert!(terminals(&nl) >= PARALLEL_MIN_TERMINALS);
+        let cfg = RouterConfig::default();
         let serial = nl.route(&cfg);
         for jobs in [1, 2, 4, 8, 32] {
-            let par = nl.route_parallel(&cfg, jobs);
+            let recorder = Arc::new(bmst_obs::SummaryRecorder::new());
+            let par = {
+                let _guard = bmst_obs::scoped(recorder.clone());
+                nl.route_parallel(&cfg, jobs)
+            };
+            assert_eq!(recorder.event_count("router.parallel_bypassed"), 0);
             assert_eq!(
                 par.total_wirelength.to_bits(),
                 serial.total_wirelength.to_bits(),
@@ -756,10 +767,19 @@ mod tests {
 
     #[test]
     fn parallel_empty_and_oversubscribed() {
-        let empty = Netlist::default().route_parallel(&parallel_config(), 8);
+        use std::sync::Arc;
+        let cfg = RouterConfig::default();
+        let empty = Netlist::default().route_parallel(&cfg, 8);
         assert_eq!(empty.nets.len(), 0);
-        let nl = random_netlist(6, 2);
-        let report = nl.route_parallel(&parallel_config(), 64);
+        // Fewer nets than jobs, but enough terminals for the pool.
+        let nl = sized_netlist(6, 2, PARALLEL_MIN_TERMINALS / 2);
+        assert_eq!(terminals(&nl), PARALLEL_MIN_TERMINALS);
+        let recorder = Arc::new(bmst_obs::SummaryRecorder::new());
+        let report = {
+            let _guard = bmst_obs::scoped(recorder.clone());
+            nl.route_parallel(&cfg, 64)
+        };
+        assert_eq!(recorder.event_count("router.parallel_bypassed"), 0);
         assert_eq!(report.nets.len(), 2);
     }
 
@@ -767,11 +787,8 @@ mod tests {
     fn parallel_bypasses_to_serial_below_terminal_threshold() {
         use std::sync::Arc;
         let nl = random_netlist(7, 3);
-        let terminals: usize = nl.nets.iter().map(|n| n.net.len()).sum();
-        let cfg = RouterConfig {
-            parallel_min_terminals: terminals + 1,
-            ..RouterConfig::default()
-        };
+        assert!(terminals(&nl) < PARALLEL_MIN_TERMINALS);
+        let cfg = RouterConfig::default();
         let recorder = Arc::new(bmst_obs::SummaryRecorder::new());
         let par = {
             let _guard = bmst_obs::scoped(recorder.clone());
@@ -784,15 +801,13 @@ mod tests {
             par.total_wirelength.to_bits(),
             serial.total_wirelength.to_bits()
         );
-        // At or above the threshold the pool runs and nothing is emitted.
+        // At the threshold the pool runs and nothing is emitted.
+        let nl = sized_netlist(7, 8, PARALLEL_MIN_TERMINALS / 8);
+        assert_eq!(terminals(&nl), PARALLEL_MIN_TERMINALS);
         let recorder = Arc::new(bmst_obs::SummaryRecorder::new());
         {
             let _guard = bmst_obs::scoped(recorder.clone());
-            let eager = RouterConfig {
-                parallel_min_terminals: terminals,
-                ..cfg
-            };
-            nl.route_parallel(&eager, 4);
+            nl.route_parallel(&cfg, 4);
         }
         assert_eq!(recorder.event_count("router.parallel_bypassed"), 0);
     }
@@ -812,15 +827,15 @@ mod tests {
         )
     }
 
+    /// A collinear net whose MST is its shortest path tree, so it routes
+    /// at any eps. Four of them reach [`PARALLEL_MIN_TERMINALS`].
     fn easy_net(name: &str, offset: f64) -> NamedNet {
+        let points = (0..PARALLEL_MIN_TERMINALS / 4)
+            .map(|k| Point::new(offset + k as f64, 0.0))
+            .collect();
         NamedNet::new(
             name,
-            Net::with_source_first(vec![
-                Point::new(offset, 0.0),
-                Point::new(offset + 3.0, 1.0),
-                Point::new(offset + 5.0, -1.0),
-            ])
-            .unwrap(),
+            Net::with_source_first(points).unwrap(),
             Criticality::Normal,
         )
     }
@@ -829,7 +844,7 @@ mod tests {
         RouterConfig {
             algorithm: RouteAlgorithm::from_name("mst").unwrap(),
             relaxation,
-            ..parallel_config()
+            ..RouterConfig::default()
         }
     }
 
@@ -845,6 +860,7 @@ mod tests {
             easy_net("n3", 40.0),
             easy_net("n4", 60.0),
         ]);
+        assert!(terminals(&nl) >= PARALLEL_MIN_TERMINALS);
         let cfg = mst_config(RelaxationPolicy::none());
         let serial = nl.route(&cfg);
         assert_eq!(serial.nets.len(), 4);

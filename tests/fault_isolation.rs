@@ -12,7 +12,7 @@ use std::sync::Arc;
 use bmst_core::{BmstError, PathConstraint, ProblemContext};
 use bmst_geom::{Net, Point};
 use bmst_obs::JsonLinesRecorder;
-use bmst_router::{NetStatus, Netlist, RouteAlgorithm, RouterConfig};
+use bmst_router::{Criticality, NamedNet, NetStatus, Netlist, RouteAlgorithm, RouterConfig};
 
 /// The checked-in adversarial fixture (also driven by the CI smoke job
 /// through the `bmst netlist` CLI).
@@ -136,4 +136,53 @@ fn every_registry_builder_reports_infeasible_on_unreachable_window() {
         checked += 1;
     }
     assert!(checked >= 12, "registry unexpectedly small: {checked}");
+}
+
+/// The robustness layer is transparent on the happy path: on an
+/// all-feasible netlist spanning every criticality, the guarded
+/// `Netlist::route` (validation, `catch_unwind`, window post-check,
+/// ladder) returns per net exactly the tree the configured builder
+/// returns when called directly, with no relaxation attempt.
+#[test]
+fn guarded_route_equals_the_raw_builder_on_feasible_nets() {
+    let classes = [
+        Criticality::Critical,
+        Criticality::Normal,
+        Criticality::Relaxed,
+    ];
+    let nl = Netlist::new(
+        (0..24u64)
+            .map(|i| {
+                let net = bmst_instances::uniform_cloud(6 + (i % 10) as usize, 200.0, 0xBE57 + i);
+                NamedNet::new(format!("n{i}"), net, classes[(i % 3) as usize])
+            })
+            .collect(),
+    );
+    let config = RouterConfig::default();
+    let builder = config.algorithm.builder();
+    let report = nl.route(&config);
+    assert!(report.is_clean(), "{:?}", report.failures);
+    assert_eq!(report.nets.len(), nl.nets.len());
+    for (routed, named) in report.nets.iter().zip(&nl.nets) {
+        assert_eq!(routed.name, named.name);
+        assert!(routed.relaxations.is_empty(), "{}", routed.name);
+        assert!(!routed.fallback_spt, "{}", routed.name);
+        let eps = config.eps_for(named.criticality);
+        assert_eq!(routed.eps.to_bits(), eps.to_bits(), "{}", routed.name);
+        let cx = ProblemContext::new(&named.net, eps).unwrap();
+        let raw = builder.build(&cx).unwrap();
+        assert_eq!(
+            routed.wirelength.to_bits(),
+            raw.cost().to_bits(),
+            "{}",
+            routed.name
+        );
+        assert_eq!(
+            routed.radius.to_bits(),
+            raw.max_dist_from_root(named.net.sinks()).to_bits(),
+            "{}",
+            routed.name
+        );
+        assert_eq!(routed.tree.edges(), raw.edges(), "{}", routed.name);
+    }
 }

@@ -19,7 +19,7 @@ use bmst_router::{Criticality, NamedNet, Netlist, RouterConfig};
 static ALLOC: bmst_obs::alloc::CountingAlloc = bmst_obs::alloc::CountingAlloc;
 
 /// A netlist big enough that `route_parallel` actually spawns workers
-/// (default `parallel_min_terminals` is 64; this is 6 nets x 41 terminals).
+/// (`bmst_router::PARALLEL_MIN_TERMINALS` is 64; this is 6 nets x 41 terminals).
 fn test_netlist() -> Netlist {
     let nets = (0..6usize)
         .map(|i| {
