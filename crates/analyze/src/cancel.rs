@@ -47,10 +47,11 @@ use crate::rules::{Candidate, CANCEL_CRATES, PANIC_REACH_CRATES};
 
 /// Loop-header identifiers that mark instance-sized iteration for this
 /// pass *in addition to* the complexity vocabulary: the lazy
-/// edge-candidate supply iterates `stream`s and `supply` windows whose
-/// length is instance-sized even though the complexity pass does not
-/// count them.
-const CANCEL_EXTRA_HINTS: &[&str] = &["stream", "supply"];
+/// edge-candidate supply iterates `stream`s and `supply` windows, Gabow
+/// drains a spanning-tree `enumerator`, and the Steiner candidate-heap
+/// loops run until all `nt` terminals connect. Each is instance-sized
+/// even though the complexity pass does not count it.
+const CANCEL_EXTRA_HINTS: &[&str] = &["stream", "supply", "enumerator", "nt"];
 
 /// Call leaf names that poll a token through a context, recognised
 /// without resolution (`cx.check_cancelled()?`).

@@ -33,7 +33,8 @@ const DEPTH_CAP: u32 = 5;
 
 /// Identifier hints marking a loop as iterating an instance-sized
 /// collection. Tuned to this workspace's vocabulary (sinks, edges,
-/// nets, …); `len`/`n` catch the `for i in 0..xs.len()` index form.
+/// nets, the forest's component `members`, …); `len`/`n` catch the
+/// `for i in 0..xs.len()` index form.
 pub(crate) const INSTANCE_HINTS: &[&str] = &[
     "sinks",
     "sink",
@@ -63,6 +64,7 @@ pub(crate) const INSTANCE_HINTS: &[&str] = &[
     "order",
     "sorted",
     "items",
+    "members",
 ];
 
 /// Parses a budget spec into its allowed instance-loop depth.

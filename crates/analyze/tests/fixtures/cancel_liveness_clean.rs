@@ -33,3 +33,19 @@ pub fn build(cx: &ProblemContext<'_>) -> Result<Tree, BmstError> {
     }
     Ok(Tree::with_cost(probes))
 }
+
+/// A lazy enumeration polls at a stride.
+pub fn try_build_geometry(cx: &ProblemContext<'_>) -> Result<Tree, BmstError> {
+    let enumerator = TreeEnumerator::new(cx);
+    let mut examined = 0u64;
+    for candidate in enumerator {
+        if examined & 0x3f == 0 {
+            cx.check_cancelled()?;
+        }
+        examined += 1;
+        if candidate.feasible() {
+            return Ok(candidate.tree());
+        }
+    }
+    Err(BmstError::infeasible())
+}

@@ -1,6 +1,7 @@
 //! cancel-liveness fixture: registry-facing builders whose instance loops
 //! never poll the `CancelToken` — one directly, one through a callee so the
-//! witness chain carries the transitive edge.
+//! witness chain carries the transitive edge, and one draining a lazy
+//! enumerator whose header names no collection.
 
 /// The entry point itself owns an unpolled instance loop.
 pub fn try_build(cx: &ProblemContext<'_>) -> Result<Tree, BmstError> {
@@ -22,4 +23,16 @@ fn grow(cx: &ProblemContext<'_>, acc: f64) -> Result<Tree, BmstError> {
 
 fn weight(v: usize) -> f64 {
     f64::from(v)
+}
+
+/// Drains a lazy spanning-tree enumerator: each candidate costs a tree
+/// build, and nothing bounds how many come out before a feasible one.
+pub fn build(cx: &ProblemContext<'_>) -> Result<Tree, BmstError> {
+    let enumerator = TreeEnumerator::new(cx);
+    for candidate in enumerator {
+        if candidate.feasible() {
+            return Ok(candidate.tree());
+        }
+    }
+    Err(BmstError::infeasible())
 }

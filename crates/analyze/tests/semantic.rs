@@ -168,7 +168,7 @@ fn cancel_liveness_corpus() {
     expect_rules(
         "cancel_liveness_violating.rs",
         "core",
-        &["cancel-liveness", "cancel-liveness"],
+        &["cancel-liveness", "cancel-liveness", "cancel-liveness"],
     );
     expect_rules("cancel_liveness_clean.rs", "core", &[]);
     expect_rules("cancel_liveness_allowed.rs", "core", &[]);
@@ -183,6 +183,19 @@ fn cancel_liveness_messages_carry_the_witness_chain() {
             .iter()
             .any(|v| v.message.contains("try_build → grow")),
         "witness chain names the transitive route: {:#?}",
+        report.violations
+    );
+}
+
+#[test]
+fn cancel_liveness_sees_a_lazy_enumerator() {
+    let report = analyze_fixture("cancel_liveness_violating.rs", "core");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.message.contains("`build`")),
+        "the unpolled `for candidate in enumerator` loop is reported: {:#?}",
         report.violations
     );
 }
@@ -234,9 +247,9 @@ fn blocking_discipline_scope_is_per_crate() {
 
 /// Re-runs the cancel pass over the live workspace with one poll site
 /// deleted from an in-memory copy of a builder file. Every single poll in
-/// the BKRUS / BPRIM / EdgeStream inner loops is load-bearing: removing any
-/// one of them must surface a `cancel-liveness` violation in that file,
-/// with an entry→…→fn witness chain in the message.
+/// the BKRUS / BPRIM / EdgeStream / BKST / Gabow inner loops is
+/// load-bearing: removing any one of them must surface a `cancel-liveness`
+/// violation in that file, with an entry→…→fn witness chain in the message.
 fn assert_poll_is_load_bearing(file_suffix: &str, mutate: impl Fn(&str) -> Option<String>) {
     let root = workspace_root();
     let mut io_errors = Vec::new();
@@ -315,5 +328,28 @@ fn deleting_the_edge_stream_poll_is_caught() {
     assert_poll_is_load_bearing("core/src/supply.rs", |t| {
         t.contains("self.cancel.check().is_err()")
             .then(|| t.replace("self.cancel.check().is_err()", "false"))
+    });
+}
+
+#[test]
+fn deleting_the_bkst_seeding_poll_is_caught() {
+    // The first poll is the per-row one while terminal pairs seed the heap.
+    assert_poll_is_load_bearing("steiner/src/bkst.rs", |t| {
+        delete_nth_line(t, "cx.check_cancelled()?;", 0)
+    });
+}
+
+#[test]
+fn deleting_the_bkst_heap_poll_is_caught() {
+    // The second is the strided one in the candidate-heap loop.
+    assert_poll_is_load_bearing("steiner/src/bkst.rs", |t| {
+        delete_nth_line(t, "cx.check_cancelled()?;", 1)
+    });
+}
+
+#[test]
+fn deleting_the_gabow_enumeration_poll_is_caught() {
+    assert_poll_is_load_bearing("core/src/gabow.rs", |t| {
+        delete_nth_line(t, "cx.check_cancelled()?;", 0)
     });
 }

@@ -1,5 +1,5 @@
-//! Criterion bench: the paper's `Merge` routine (path matrix + radius
-//! update), the `O(V^2)` inner loop that dominates BKRUS.
+//! Criterion bench: the paper's `Merge` routine (radius and source-path
+//! refresh), one walk of each partial tree, `O(|t_u| + |t_v|)`.
 
 #![allow(
     clippy::unwrap_used,

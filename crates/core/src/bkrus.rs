@@ -147,8 +147,7 @@ pub(crate) fn run(
             continue;
         }
         let upper_ok = forest.is_feasible_merge(e.u, e.v, e.weight, &dist_s, constraint.upper);
-        let lower_ok = !constraint.has_lower()
-            || lower_bound_ok(&mut forest, e.u, e.v, e.weight, constraint.lower);
+        let lower_ok = forest.clears_lower_bound(e.u, e.v, e.weight, constraint.lower, n);
         if upper_ok && lower_ok {
             forest.merge(e.u, e.v, e.weight);
             tree_edges.push(e);
@@ -194,22 +193,6 @@ pub(crate) fn run(
     let tree = RoutingTree::from_edges(n, source, tree_edges)?;
     crate::audit::debug_audit(net, &tree, Some(&constraint));
     Ok(tree)
-}
-
-/// §6 lower-bound condition: a merge that connects a component to the
-/// source's partial tree fixes `path(S, y)` for every newly attached node
-/// `y`; the shortest of those is `path(S, u) + w` (at `y = v`), so that is
-/// what must clear the lower bound.
-fn lower_bound_ok(forest: &mut KruskalForest, u: usize, v: usize, w: f64, lower: f64) -> bool {
-    let s = forest.source();
-    let (su, sv) = (forest.contains_source(u), forest.contains_source(v));
-    if su {
-        bmst_geom::le_tol(lower, forest.path(s, u) + w)
-    } else if sv {
-        bmst_geom::le_tol(lower, forest.path(s, v) + w)
-    } else {
-        true // no source-to-node path is fixed by this merge
-    }
 }
 
 #[cfg(test)]

@@ -1,22 +1,23 @@
 //! The partial-tree bookkeeping behind BKRUS: disjoint components, the
-//! in-tree path matrix `P`, the radius vector `r`, and the paper's `Merge`
+//! in-tree source paths, the radius vector `r`, and the paper's `Merge`
 //! routine and feasibility conditions (3-a)/(3-b).
 //!
-//! The Steiner construction (`bmst-steiner`) reuses this machinery with a
+//! The paper's n×n path matrix `P` is not kept: (3-a) reads only its source
+//! row, and (3-b) and the radius refresh read distances to the merge
+//! endpoint, which one walk of a partial tree yields (Cheong–Lee's
+//! source-distance formulation). Memory is O(n); `Merge` is O(|t_u|+|t_v|).
+//!
+//! The Steiner constructions (`bmst-steiner`) reuse this machinery with a
 //! growing node universe, which is why the module is public.
 
-use bmst_geom::{le_tol, DistanceMatrix, EPS_TOL};
+use bmst_geom::{le_tol, EPS_TOL};
 use bmst_graph::DisjointSets;
 
 /// Forest state maintained during a bounded-Kruskal construction.
 ///
-/// For every pair of nodes in the *same* partial tree, `P[x][y]` holds their
-/// in-tree path length; `r[x]` holds the radius of `x` within its partial
-/// tree (`max_y path(x, y)`); entries across different partial trees are
-/// stale zeros exactly as in the paper's formulation. Component membership
-/// is tracked by a disjoint-set forest plus explicit member lists so the
-/// `Merge` routine can iterate "each `x` in `t_u` and `y` in `t_v`" in
-/// `O(|t_u| * |t_v|)`.
+/// Holds the tree edges, `src[x]` (the paper's `P[S][x]`, for `x` in the
+/// source's partial tree), the radius `r[x] = max_y path(x, y)` within the
+/// partial tree, and a disjoint-set forest plus member lists.
 ///
 /// # Examples
 ///
@@ -29,10 +30,15 @@ use bmst_graph::DisjointSets;
 /// assert_eq!(f.path(1, 2), 4.0);
 /// assert_eq!(f.radius(1), 4.0);
 /// assert!(!f.same_component(0, 1));
+/// // Attach the pair to the source through node 1.
+/// f.merge(0, 1, 3.0);
+/// assert_eq!(f.source_path(2), 7.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct KruskalForest {
-    p: DistanceMatrix,
+    /// Tree edges as `(neighbor, length)` lists.
+    adj: Vec<Vec<(usize, f64)>>,
+    src: Vec<f64>,
     r: Vec<f64>,
     dsu: DisjointSets,
     members: Vec<Vec<usize>>,
@@ -44,6 +50,10 @@ pub struct KruskalForest {
     /// nodes, which every construction does (`dist_s[x]` is the fixed
     /// geometric source distance of node `x`).
     potential: Vec<f64>,
+    /// Walk scratch: `dist[x]` from the latest walk of `x`'s partial tree,
+    /// and the `(node, parent)` pairs still to visit.
+    dist: Vec<f64>,
+    stack: Vec<(usize, usize)>,
 }
 
 impl KruskalForest {
@@ -55,12 +65,15 @@ impl KruskalForest {
     pub fn new(n: usize, source: usize) -> Self {
         assert!(source < n, "source {source} out of bounds for {n} nodes");
         KruskalForest {
-            p: DistanceMatrix::zeros(n),
+            adj: vec![Vec::new(); n],
+            src: vec![0.0; n],
             r: vec![0.0; n],
             dsu: DisjointSets::new(n),
             members: (0..n).map(|i| vec![i]).collect(),
             source,
             potential: vec![f64::NAN; n],
+            dist: vec![0.0; n],
+            stack: Vec::new(),
         }
     }
 
@@ -92,10 +105,12 @@ impl KruskalForest {
     /// index.
     pub fn add_node(&mut self) -> usize {
         let id = self.dsu.make_set();
-        self.p.grow(id + 1);
+        self.adj.push(Vec::new());
+        self.src.push(0.0);
         self.r.push(0.0);
         self.members.push(vec![id]);
         self.potential.push(f64::NAN);
+        self.dist.push(0.0);
         id
     }
 
@@ -117,11 +132,23 @@ impl KruskalForest {
         self.dsu.same_set(u, self.source)
     }
 
-    /// In-tree path length `P[x][y]`. Meaningful only when `x` and `y` are
-    /// in the same partial tree (stale zero otherwise, as in the paper).
+    /// In-tree path length between `x` and `y`, by one walk of their partial
+    /// tree. Panics (debug) if they are in different partial trees.
+    // analyze: complexity(n)
+    pub fn path(&mut self, x: usize, y: usize) -> f64 {
+        debug_assert!(
+            self.dsu.same_set(x, y),
+            "path({x}, {y}) spans two partial trees"
+        );
+        self.distances_from(x);
+        self.dist[y]
+    }
+
+    /// In-tree path length from the source to `x` (the paper's `P[S][x]`).
+    /// Meaningful only while `x` is in the source's partial tree.
     #[inline]
-    pub fn path(&self, x: usize, y: usize) -> f64 {
-        self.p[(x, y)]
+    pub fn source_path(&self, x: usize) -> f64 {
+        self.src[x]
     }
 
     /// Radius `r[x]` of node `x` within its partial tree.
@@ -130,22 +157,21 @@ impl KruskalForest {
         self.r[x]
     }
 
-    /// Radius node `x` *would* have in the tree obtained by merging the
-    /// components of `u` and `v` with an edge of length `w`.
-    ///
-    /// The paper's formula: for `x` in `t_u`,
-    /// `radius_tM(x) = max(r[x], P[x][u] + w + r[v])`, and symmetrically for
-    /// `x` in `t_v`. No actual merge is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `x` is in neither component.
-    pub fn merged_radius(&mut self, x: usize, u: usize, v: usize, w: f64) -> f64 {
-        if self.dsu.same_set(x, u) {
-            self.r[x].max(self.p[(x, u)] + w + self.r[v])
-        } else {
-            debug_assert!(self.dsu.same_set(x, v), "node {x} is in neither component");
-            self.r[x].max(self.p[(x, v)] + w + self.r[u])
+    /// Writes `dist[x] = path(start, x)` for every `x` in `start`'s partial
+    /// tree: one depth-first walk of its tree edges, `O(|t|)`. Entries of
+    /// other partial trees are left as they are.
+    // analyze: allow(cancel-liveness) — one walk of a single partial tree per call; every construction polls between forest calls
+    fn distances_from(&mut self, start: usize) {
+        self.dist[start] = 0.0;
+        self.stack.push((start, start));
+        while let Some((x, parent)) = self.stack.pop() {
+            let dx = self.dist[x];
+            for &(y, w) in &self.adj[x] {
+                if y != parent {
+                    self.dist[y] = dx + w;
+                    self.stack.push((y, x));
+                }
+            }
         }
     }
 
@@ -170,6 +196,7 @@ impl KruskalForest {
     /// # Panics
     ///
     /// Panics if `dist_s.len() < self.len()`.
+    // analyze: complexity(n)
     pub fn is_feasible_merge(
         &mut self,
         u: usize,
@@ -187,9 +214,9 @@ impl KruskalForest {
         if su || sv {
             // (3-a): one side contains the source.
             let ok = if su {
-                le_tol(self.p[(self.source, u)] + w + self.r[v], upper)
+                le_tol(self.src[u] + w + self.r[v], upper)
             } else {
-                le_tol(self.p[(self.source, v)] + w + self.r[u], upper)
+                le_tol(self.src[v] + w + self.r[u], upper)
             };
             bmst_obs::counter(
                 if ok {
@@ -208,7 +235,7 @@ impl KruskalForest {
             // both are lower bounds on every value the scan would test, so
             // skipping a side never changes the boolean result:
             //
-            // * Triangle inequality: for `x` in `t_u`, `P[x][u] >= d(x, u)`
+            // * Triangle inequality: for `x` in `t_u`, `path(x, u) >= d(x, u)`
             //   (it is a sum of metric edge lengths) and
             //   `dist_s[x] + d(x, u) >= dist_s[u]`, so every scanned value
             //   is at least `dist_s[u] + w + r[v]` in exact arithmetic.
@@ -225,18 +252,8 @@ impl KruskalForest {
                 && le_tol(self.component_potential(root_u, dist_s), upper);
             let v_alive = le_tol(dist_s[v] + w + self.r[u], upper + EPS_TOL)
                 && le_tol(self.component_potential(root_v, dist_s), upper);
-            let check = |x: usize, anchor: usize, far_r: f64, p: &DistanceMatrix, r: &[f64]| {
-                let rad = r[x].max(p[(x, anchor)] + w + far_r);
-                le_tol(dist_s[x] + rad, upper)
-            };
-            let ok = (u_alive
-                && self.members[root_u]
-                    .iter()
-                    .any(|&x| check(x, u, self.r[v], &self.p, &self.r)))
-                || (v_alive
-                    && self.members[root_v]
-                        .iter()
-                        .any(|&x| check(x, v, self.r[u], &self.p, &self.r)));
+            let ok = (u_alive && self.scan_3b(u, self.r[v], w, dist_s, upper))
+                || (v_alive && self.scan_3b(v, self.r[u], w, dist_s, upper));
             bmst_obs::counter(
                 if ok {
                     "forest.cond3b.accept"
@@ -247,6 +264,56 @@ impl KruskalForest {
             );
             ok
         }
+    }
+
+    /// The (3-b) scan of one side: whether some `x` in `at`'s partial tree
+    /// keeps `dist_s[x] + max(r[x], path(x, at) + w + far_r) <= upper`.
+    fn scan_3b(&mut self, at: usize, far_r: f64, w: f64, dist_s: &[f64], upper: f64) -> bool {
+        self.distances_from(at);
+        let root = self.dsu.find(at);
+        self.members[root].iter().any(|&x| {
+            let rad = self.r[x].max(self.dist[x] + w + far_r);
+            le_tol(dist_s[x] + rad, upper)
+        })
+    }
+
+    /// The §6 lower-bound condition for adding edge `(u, v)` of length `w`.
+    ///
+    /// Joining a partial tree `X` to the source's tree through `(join,
+    /// other)` fixes `path(S, t) = path(S, join) + w + path_X(other, t)` for
+    /// every `t` in `X`; those with `t < bounded` must clear `lower` (higher
+    /// ids are Steiner points). Other merges, or `lower <= 0`, pass. The
+    /// path to `other` itself is the shortest, so if `other` is bounded it
+    /// alone decides; otherwise `X` is walked once.
+    // analyze: complexity(n)
+    pub fn clears_lower_bound(
+        &mut self,
+        u: usize,
+        v: usize,
+        w: f64,
+        lower: f64,
+        bounded: usize,
+    ) -> bool {
+        if lower <= 0.0 {
+            return true;
+        }
+        let (join, other) = if self.contains_source(u) {
+            (u, v)
+        } else if self.contains_source(v) {
+            (v, u)
+        } else {
+            return true;
+        };
+        let base = self.src[join] + w;
+        if other < bounded {
+            return le_tol(lower, base);
+        }
+        self.distances_from(other);
+        let root = self.dsu.find(other);
+        self.members[root]
+            .iter()
+            .filter(|&&t| t < bounded)
+            .all(|&t| le_tol(lower, base + self.dist[t]))
     }
 
     /// Cached `min over members x of dist_s[x] + r[x]` for the component
@@ -268,14 +335,17 @@ impl KruskalForest {
     /// Merges the components of `u` and `v` with an edge of length `w`:
     /// the paper's `Merge(u, v)` followed by `UNION(u, v)`.
     ///
-    /// Updates `P[x][y]` for every cross pair
-    /// (`P[x][y] = P[x][u] + w + P[v][y]`) and refreshes the radii of all
-    /// nodes in the merged tree. `O(|t_u| * |t_v|)`.
+    /// Refreshes every radius and, when one side holds the source, the other
+    /// side's source paths, in `O(|t_u| + |t_v|)`. Each update keeps the
+    /// association order of `P[x][y] = P[x][u] + w + P[v][y]`, with the
+    /// pre-merge radii as the row maxima: `r[x] = max(r[x], path(x, u) + w +
+    /// r[v])` for `x` in `t_u`, symmetrically for `t_v`.
     ///
     /// # Panics
     ///
     /// Panics if `u` and `v` are already in the same component (the caller
     /// must have rejected cycle edges) or if `w` is negative/non-finite.
+    // analyze: complexity(n) analyze: allow(cancel-liveness) — one pass over the two merged partial trees per call; every construction polls between merges
     pub fn merge(&mut self, u: usize, v: usize, w: f64) {
         assert!(
             w.is_finite() && w >= 0.0,
@@ -286,44 +356,40 @@ impl KruskalForest {
         assert!(root_u != root_v, "merge({u}, {v}) would create a cycle");
 
         let _span = bmst_obs::enabled().then(|| bmst_obs::span("forest.merge"));
-
-        // Take both member lists out to appease the borrow checker.
-        let mu = std::mem::take(&mut self.members[root_u]);
-        let mv = std::mem::take(&mut self.members[root_v]);
         if bmst_obs::enabled() {
-            let cross = u64::try_from(mu.len().saturating_mul(mv.len())).unwrap_or(u64::MAX);
+            let (nu, nv) = (self.members[root_u].len(), self.members[root_v].len());
+            let cross = u64::try_from(nu.saturating_mul(nv)).unwrap_or(u64::MAX);
             bmst_obs::histogram("forest.merge.cross_pairs", cross);
         }
 
-        // Paper's Merge lines 1-3: cross path lengths.
-        for &x in &mu {
-            let px_u = self.p[(x, u)];
-            for &y in &mv {
-                let len = px_u + w + self.p[(v, y)];
-                self.p[(x, y)] = len;
-                self.p[(y, x)] = len;
+        let source_root = self.dsu.find(self.source);
+        self.distances_from(u);
+        self.distances_from(v);
+        let (r_u, r_v) = (self.r[u], self.r[v]);
+        for &x in &self.members[root_u] {
+            self.r[x] = self.r[x].max(self.dist[x] + w + r_v);
+        }
+        for &y in &self.members[root_v] {
+            self.r[y] = self.r[y].max(r_u + w + self.dist[y]);
+        }
+        if source_root == root_u {
+            let base = self.src[u] + w;
+            for &y in &self.members[root_v] {
+                self.src[y] = base + self.dist[y];
+            }
+        } else if source_root == root_v {
+            let far = self.src[v];
+            for &x in &self.members[root_u] {
+                self.src[x] = self.dist[x] + w + far;
             }
         }
-        // Lines 4-9: refresh radii with the new cross paths.
-        for &x in &mu {
-            let mut rx = self.r[x];
-            for &y in &mv {
-                rx = rx.max(self.p[(x, y)]);
-            }
-            self.r[x] = rx;
-        }
-        for &y in &mv {
-            let mut ry = self.r[y];
-            for &x in &mu {
-                ry = ry.max(self.p[(x, y)]);
-            }
-            self.r[y] = ry;
-        }
+        self.adj[u].push((v, w));
+        self.adj[v].push((u, w));
 
+        let mut merged = std::mem::take(&mut self.members[root_u]);
+        merged.extend(std::mem::take(&mut self.members[root_v]));
         self.dsu.union(u, v);
         let new_root = self.dsu.find(u);
-        let mut merged = mu;
-        merged.extend(mv);
         self.members[new_root] = merged;
         // Radii and membership changed: stale both cache slots (only
         // `new_root` is reachable through `find`, but keep both honest).
@@ -351,7 +417,7 @@ mod tests {
 
     #[test]
     fn figure3_before_merge() {
-        let f = figure3_forest();
+        let mut f = figure3_forest();
         // Matrix P of the paper's "Before Merge" panel.
         assert_eq!(f.path(0, 1), 2.0);
         assert_eq!(f.path(0, 2), 6.0);
@@ -359,8 +425,8 @@ mod tests {
         assert_eq!(f.path(1, 3), 7.0);
         assert_eq!(f.path(2, 3), 3.0);
         assert_eq!(f.path(4, 5), 2.0);
-        // Stale zero across components.
-        assert_eq!(f.path(0, 4), 0.0);
+        // Source row of P: the source's tree is a-b-c-d.
+        assert_eq!(f.source_path(3), 9.0);
         // Radii r = [9, 7, 6, 9, 2, 2].
         let expect = [9.0, 7.0, 6.0, 9.0, 2.0, 2.0];
         for (i, &e) in expect.iter().enumerate() {
@@ -386,27 +452,58 @@ mod tests {
         for (i, &e) in expect.iter().enumerate() {
             assert_eq!(f.radius(i), e, "r[{i}]");
         }
+        // The source row of P covers the attached side too.
+        let row = [0.0, 2.0, 6.0, 9.0, 11.0, 13.0];
+        for (i, &e) in row.iter().enumerate() {
+            assert_eq!(f.source_path(i), e, "P[S][{i}]");
+        }
         assert_eq!(f.num_components(), 1);
     }
 
     #[test]
-    fn merged_radius_matches_actual_merge() {
-        let mut f = figure3_forest();
-        // Predicted radii for the (c, e) merge...
-        let predicted: Vec<f64> = (0..6).map(|x| f.merged_radius(x, 2, 4, 5.0)).collect();
-        // ...must equal the radii after actually merging.
-        f.merge(2, 4, 5.0);
-        for (x, &pred) in predicted.iter().enumerate() {
-            assert_eq!(pred, f.radius(x), "node {x}");
-        }
+    fn source_paths_follow_a_merge_into_the_far_side() {
+        // The source joins an existing chain 1 - 2 through node 2.
+        let mut f = KruskalForest::new(3, 0);
+        f.merge(1, 2, 4.0);
+        f.merge(2, 0, 3.0);
+        assert_eq!(f.source_path(2), 3.0);
+        assert_eq!(f.source_path(1), 7.0);
+        assert_eq!(f.radius(0), 7.0);
+        assert_eq!(f.radius(2), 4.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two partial trees")]
+    fn path_across_partial_trees_panics() {
+        KruskalForest::new(3, 0).path(1, 2);
+    }
+
+    #[test]
+    fn lower_bound_binds_only_merges_into_the_source_tree() {
+        // Source tree {0, 1} with path(S, 1) = 2; chain 2 - 3 of length 5.
+        let mut f = KruskalForest::new(4, 0);
+        f.merge(0, 1, 2.0);
+        f.merge(2, 3, 5.0);
+        // Joining through edge (1, 3) fixes path(S, 3) = 3, path(S, 2) = 8.
+        assert!(f.clears_lower_bound(1, 3, 1.0, 3.0, 4));
+        assert!(!f.clears_lower_bound(1, 3, 1.0, 3.5, 4));
+        // With 3 a Steiner point (bounded ids 0..3), only node 2's 8 counts.
+        assert!(f.clears_lower_bound(1, 3, 1.0, 8.0, 3));
+        assert!(!f.clears_lower_bound(1, 3, 1.0, 8.5, 3));
+        // Away from the source, and with no lower bound, nothing binds.
+        let mut g = KruskalForest::new(3, 0);
+        assert!(g.clears_lower_bound(1, 2, 1.0, 100.0, 3));
+        assert!(f.clears_lower_bound(1, 3, 1.0, 0.0, 4));
     }
 
     #[test]
     fn singleton_state() {
-        let f = KruskalForest::new(4, 0);
+        let mut f = KruskalForest::new(4, 0);
         assert_eq!(f.num_components(), 4);
         assert_eq!(f.radius(2), 0.0);
-        assert_eq!(f.path(1, 2), 0.0);
+        assert_eq!(f.path(2, 2), 0.0);
+        assert_eq!(f.source_path(0), 0.0);
     }
 
     #[test]

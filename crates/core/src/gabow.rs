@@ -236,6 +236,11 @@ pub(crate) fn run(cx: &ProblemContext<'_>, config: GabowConfig) -> Result<GabowO
     let enumerator = SpanningTreeEnumerator::with_forced(n, edges, &forced_pairs);
     let mut examined = 0usize;
     for candidate in enumerator {
+        // Cooperative cancellation: every candidate costs a tree build, so
+        // a strided poll keeps a never-token free and a live one cheap.
+        if examined & 0x3f == 0 {
+            cx.check_cancelled()?;
+        }
         examined += 1;
         if examined > config.max_trees {
             bmst_obs::counter("gabow.budget_exhausted", 1);

@@ -7,10 +7,10 @@ use crate::{Metric, Point};
 
 /// A dense square matrix of `f64` values indexed by node pairs.
 ///
-/// The paper's BKRUS algorithm maintains two such matrices: the geometric
-/// distance matrix `D[V][V]` (fixed, computed from coordinates) and the
-/// in-tree path length matrix `P[V][V]` (updated incrementally by the
-/// `Merge` routine). This type backs both.
+/// This is the paper's geometric distance matrix `D[V][V]`, computed from
+/// coordinates. Only the exact solvers (Gabow, BKEX, BKH2) and test
+/// references materialize it; the paper's in-tree path matrix `P[V][V]` is
+/// not kept at all (see `bmst_core::forest`).
 ///
 /// Storage is a flat row-major `Vec<f64>`; indexing is `matrix[(i, j)]`.
 ///
@@ -33,9 +33,6 @@ pub struct DistanceMatrix {
 
 impl DistanceMatrix {
     /// Creates an `n x n` matrix filled with zeros.
-    ///
-    /// This is the initial state of the paper's `P` path-length matrix
-    /// (BKRUS line 5-7).
     pub fn zeros(n: usize) -> Self {
         DistanceMatrix {
             n,
@@ -72,60 +69,10 @@ impl DistanceMatrix {
         self.n == 0
     }
 
-    /// Grows the matrix to `new_n x new_n`, filling new entries with zero and
-    /// preserving existing entries.
-    ///
-    /// Used by the Steiner construction (BKST), where Hanan-grid nodes on a
-    /// newly routed path "are treated as new sinks" and must join the `P`
-    /// matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_n < self.len()`; the matrix never shrinks.
-    pub fn grow(&mut self, new_n: usize) {
-        assert!(
-            new_n >= self.n,
-            "DistanceMatrix::grow cannot shrink: {} -> {}",
-            self.n,
-            new_n
-        );
-        if new_n == self.n {
-            return;
-        }
-        let mut data = vec![0.0; new_n * new_n];
-        for i in 0..self.n {
-            data[i * new_n..i * new_n + self.n]
-                .copy_from_slice(&self.data[i * self.n..(i + 1) * self.n]);
-        }
-        self.n = new_n;
-        self.data = data;
-    }
-
     /// Row `i` as a slice (entries `(i, 0..n)`).
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// Maximum entry in row `i`, or `0.0` for an empty matrix.
-    ///
-    /// In BKRUS the radius vector `r` entries are "the maximum of each row of
-    /// `P`" restricted to the same partial tree; this helper computes the
-    /// unrestricted row maximum for validation.
-    pub fn row_max(&self, i: usize) -> f64 {
-        self.row(i).iter().fold(0.0_f64, |a, &b| a.max(b))
-    }
-
-    /// Checks symmetry up to `tol` (useful as a debug assertion on `P`).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -185,9 +132,11 @@ mod tests {
     #[test]
     fn from_points_is_symmetric_with_zero_diagonal() {
         let m = DistanceMatrix::from_points(&square_corners(), Metric::L1);
-        assert!(m.is_symmetric(0.0));
         for i in 0..4 {
             assert_eq!(m[(i, i)], 0.0);
+            for j in 0..4 {
+                assert_eq!(m[(i, j)], m[(j, i)]);
+            }
         }
         assert_eq!(m[(0, 2)], 2.0); // opposite corners, Manhattan
         assert_eq!(m[(0, 1)], 1.0);
@@ -200,43 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn grow_preserves_entries_and_zero_fills() {
-        let mut m = DistanceMatrix::from_points(&square_corners(), Metric::L1);
-        m.grow(6);
-        assert_eq!(m.len(), 6);
-        assert_eq!(m[(0, 2)], 2.0);
-        assert_eq!(m[(0, 5)], 0.0);
-        assert_eq!(m[(5, 5)], 0.0);
-    }
-
-    #[test]
-    fn grow_same_size_is_noop() {
-        let mut m = DistanceMatrix::from_points(&square_corners(), Metric::L1);
-        let before = m.clone();
-        m.grow(4);
-        assert_eq!(m, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_smaller_panics() {
-        DistanceMatrix::zeros(4).grow(3);
-    }
-
-    #[test]
-    fn row_max_finds_largest() {
-        let mut m = DistanceMatrix::zeros(3);
-        m[(1, 0)] = 2.0;
-        m[(1, 2)] = 5.0;
-        assert_eq!(m.row_max(1), 5.0);
-        assert_eq!(m.row_max(0), 0.0);
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = DistanceMatrix::zeros(0);
         assert!(m.is_empty());
-        assert!(m.is_symmetric(0.0));
     }
 
     #[test]

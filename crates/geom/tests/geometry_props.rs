@@ -2,7 +2,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
 
-use bmst_geom::{BoundingBox, DistanceMatrix, Metric, Net, Point};
+use bmst_geom::{BoundingBox, Metric, Net, Point};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -60,24 +60,5 @@ proptest! {
             }
         }
         prop_assert!((net.path_bound(0.25) - 1.25 * r_far).abs() < 1e-9);
-    }
-
-    /// Growing a matrix preserves existing entries.
-    #[test]
-    fn matrix_grow_preserves(
-        pts in proptest::collection::vec(arb_point(), 1..8),
-        extra in 0usize..5,
-    ) {
-        let d = DistanceMatrix::from_points(&pts, Metric::L1);
-        let mut grown = d.clone();
-        grown.grow(pts.len() + extra);
-        for i in 0..pts.len() {
-            for j in 0..pts.len() {
-                prop_assert_eq!(grown[(i, j)], d[(i, j)]);
-            }
-            for j in pts.len()..pts.len() + extra {
-                prop_assert_eq!(grown[(i, j)], 0.0);
-            }
-        }
     }
 }

@@ -962,6 +962,25 @@ mod tests {
     }
 
     #[test]
+    fn huge_bkrus_net_fails_once_on_its_deadline() {
+        // 60 000 sinks: an n×n path matrix would ask for 28.8 GB here; the
+        // forest is linear, so BKRUS starts and its scan meets the budget.
+        let nl = sized_netlist(23, 1, 60_000);
+        let cfg = RouterConfig {
+            cancel: CancelToken::with_budget(std::time::Duration::from_millis(50)),
+            ..RouterConfig::default()
+        };
+        let report = nl.route(&cfg);
+        assert!(report.nets.is_empty());
+        assert_eq!(report.failures.len(), 1);
+        assert!(
+            matches!(report.failures[0].error, BmstError::DeadlineExceeded { .. }),
+            "{:?}",
+            report.failures[0].error
+        );
+    }
+
+    #[test]
     fn ladder_hint_jumps_past_factor_when_tighter() {
         // With factor 1.0 the schedule alone would retry 0.1 forever; the
         // min_feasible_eps hint (16/14 - 1 ≈ 0.1429) must pull it feasible.

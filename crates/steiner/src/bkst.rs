@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use bmst_core::forest::KruskalForest;
-use bmst_core::{BmstError, PathConstraint};
+use bmst_core::{BmstError, PathConstraint, ProblemContext};
 use bmst_geom::{Metric, Net, Point};
 use bmst_graph::Edge;
 use bmst_tree::RoutingTree;
@@ -162,9 +162,16 @@ pub fn bkst(net: &Net, eps: f64) -> Result<SteinerTree, BmstError> {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[allow(clippy::expect_used)] // Hanan-grid invariant, justified inline
-                              // analyze: allow(cancel-liveness) — public signature carries no CancelToken; work is Hanan-grid bounded
 pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, BmstError> {
+    run(&ProblemContext::with_constraint(net, constraint))
+}
+
+/// BKST on `cx`'s net and constraint, polling its cancellation token per
+/// seeded terminal and at a stride in the candidate-heap loop.
+#[allow(clippy::expect_used)] // Hanan-grid invariant, justified inline
+pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<SteinerTree, BmstError> {
+    let net = cx.net();
+    let constraint = *cx.constraint();
     if net.metric() != Metric::L1 {
         return Err(BmstError::UnsupportedMetric {
             metric: net.metric(),
@@ -186,19 +193,17 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
     let mut points: Vec<Point> = net.points().to_vec();
     let mut dist_s: Vec<f64> = points.iter().map(|p| p.manhattan(src_pt)).collect();
     let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (id, &p) in points.iter().enumerate() {
+    let mut forest = KruskalForest::new(nt, source);
+    let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
+    for a in 0..nt {
+        cx.check_cancelled()?;
         let key = grid
-            .locate(p)
+            .locate(points[a])
             // lint: allow(no-panic) — the grid's ladders contain every terminal coordinate by construction
             .expect("terminals lie on their own Hanan grid");
         // Coincident terminals map to the same grid node; keep the first id,
         // the duplicates connect through a zero-length candidate.
-        node_of.entry(key).or_insert(id);
-    }
-
-    let mut forest = KruskalForest::new(nt, source);
-    let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
-    for a in 0..nt {
+        node_of.entry(key).or_insert(a);
         for b in (a + 1)..nt {
             heap.push(Cand {
                 dist: points[a].manhattan(points[b]),
@@ -213,37 +218,17 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
         (0..nt).filter(|&t| forest.contains_source(t)).count()
     };
 
-    // §6-style lower bound for Steiner merges: joining component X to the
-    // source's tree via edge (join, other) of length w fixes
-    // path(S, t) = path(S, join) + w + path_X(other, t) for every terminal
-    // t in X; all of those must clear the lower bound. Steiner points are
-    // exempt.
-    let lower = constraint.lower;
-    let lower_ok = |forest: &mut KruskalForest, u: usize, v: usize, w: f64| -> bool {
-        if lower <= 0.0 {
-            return true;
-        }
-        let s = forest.source();
-        let (join, other) = if forest.contains_source(u) {
-            (u, v)
-        } else if forest.contains_source(v) {
-            (v, u)
-        } else {
-            return true; // no source path is fixed by this merge
-        };
-        let base = forest.path(s, join) + w;
-        let members: Vec<usize> = forest.component(other).to_vec();
-        members
-            .into_iter()
-            .filter(|&t| t < nt)
-            .all(|t| bmst_geom::le_tol(lower, base + forest.path(other, t)))
-    };
-
     // Progress guard for the exhaustion fallback below: a fallback round
     // that adds no edge means the instance is genuinely stuck.
     let mut edges_at_last_fallback = usize::MAX;
+    let mut popped = 0u64;
 
     while terminals_connected(&mut forest) < nt {
+        // Cooperative cancellation, strided like the BKRUS edge scan.
+        if popped & 0x3f == 0 {
+            cx.check_cancelled()?;
+        }
+        popped += 1;
         let Some(Cand { dist, a, b }) = heap.pop() else {
             // Heap exhausted. By the (3-b) invariant every live component
             // still holds a *feasible node* x with
@@ -289,7 +274,7 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
         if !forest.is_feasible_merge(a, b, dist, &dist_s, constraint.upper) {
             continue;
         }
-        if !lower_ok(&mut forest, a, b, dist) {
+        if !forest.clears_lower_bound(a, b, dist, constraint.lower, nt) {
             continue;
         }
 
@@ -309,7 +294,7 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
 
         if walk.is_empty()
             && forest.is_feasible_merge(a, b, 0.0, &dist_s, constraint.upper)
-            && lower_ok(&mut forest, a, b, 0.0)
+            && forest.clears_lower_bound(a, b, 0.0, constraint.lower, nt)
         {
             // Coincident endpoints (duplicate terminals): a zero-length
             // connection.
@@ -344,7 +329,7 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
                     node_of.insert((xi, yi), id);
                     let w = points[cur].manhattan(points[id]);
                     if !forest.is_feasible_merge(cur, id, w, &dist_s, constraint.upper)
-                        || !lower_ok(&mut forest, cur, id, w)
+                        || !forest.clears_lower_bound(cur, id, w, constraint.lower, nt)
                     {
                         // Abandon the rest of the route; the fresh node
                         // stays an isolated grid point.
@@ -369,7 +354,7 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
                 Some(id) => {
                     let w = points[cur].manhattan(points[id]);
                     if forest.is_feasible_merge(cur, id, w, &dist_s, constraint.upper)
-                        && lower_ok(&mut forest, cur, id, w)
+                        && forest.clears_lower_bound(cur, id, w, constraint.lower, nt)
                     {
                         forest.merge(cur, id, w);
                         edges.push(Edge::new(cur, id, w));

@@ -12,7 +12,7 @@ use bmst_core::{
 };
 use bmst_tree::RoutingTree;
 
-use crate::bkst::bkst_with;
+use crate::bkst::run;
 
 /// BKST (§3.3): the bounded-Kruskal Steiner construction on the Hanan grid.
 ///
@@ -39,12 +39,12 @@ impl TreeBuilder for BkstBuilder {
 
     // analyze: allow(panic-reach) — raw trait API; registry consumers go through try_build, which catch_unwinds into BmstError::Internal
     fn build(&self, cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
-        bkst_with(cx.net(), *cx.constraint()).map(|st| st.tree)
+        run(cx).map(|st| st.tree)
     }
 
     // analyze: allow(panic-reach) — raw trait API; registry consumers go through try_build, which catch_unwinds into BmstError::Internal
     fn build_geometry(&self, cx: &ProblemContext<'_>) -> Result<BuiltGeometry, BmstError> {
-        let st = bkst_with(cx.net(), *cx.constraint())?;
+        let st = run(cx)?;
         Ok(BuiltGeometry {
             tree: st.tree,
             points: st.points,
@@ -79,6 +79,7 @@ pub fn find_builder(name: &str) -> Option<&'static dyn TreeBuilder> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
     use super::*;
+    use bmst_core::CancelToken;
     use bmst_geom::{Net, Point};
 
     #[test]
@@ -111,5 +112,27 @@ mod tests {
         assert_eq!(g.points, st.points);
         assert_eq!(g.num_terminals, net.len());
         assert!(g.points.len() >= net.len());
+    }
+
+    #[test]
+    fn build_honours_a_fired_token() {
+        let net = Net::with_source_first(vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 2.0),
+            Point::new(10.0, -2.0),
+            Point::new(4.0, 7.0),
+        ])
+        .unwrap();
+        let cancel = CancelToken::manual();
+        cancel.cancel();
+        let cx = ProblemContext::new(&net, 0.5).unwrap().with_cancel(cancel);
+        assert!(matches!(
+            BkstBuilder.build(&cx),
+            Err(BmstError::DeadlineExceeded { .. })
+        ));
+        assert!(matches!(
+            BkstBuilder.build_geometry(&cx),
+            Err(BmstError::DeadlineExceeded { .. })
+        ));
     }
 }

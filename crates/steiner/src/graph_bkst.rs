@@ -177,27 +177,6 @@ pub fn bkst_on_graph_with(
         }
     }
 
-    let lower = constraint.lower;
-    let lower_ok = |forest: &mut KruskalForest, u: usize, v: usize, w: f64| -> bool {
-        if lower <= 0.0 {
-            return true;
-        }
-        let s = forest.source();
-        let (join, other) = if forest.contains_source(u) {
-            (u, v)
-        } else if forest.contains_source(v) {
-            (v, u)
-        } else {
-            return true;
-        };
-        let base = forest.path(s, join) + w;
-        let members: Vec<usize> = forest.component(other).to_vec();
-        members
-            .into_iter()
-            .filter(|&t| t < nt)
-            .all(|t| bmst_geom::le_tol(lower, base + forest.path(other, t)))
-    };
-
     let mut edges: Vec<Edge> = Vec::new();
     let terminals_connected = |forest: &mut KruskalForest| -> usize {
         (0..nt).filter(|&t| forest.contains_source(t)).count()
@@ -245,7 +224,7 @@ pub fn bkst_on_graph_with(
             continue;
         }
         if !forest.is_feasible_merge(a, b, dist, &dist_s, constraint.upper)
-            || !lower_ok(&mut forest, a, b, dist)
+            || !forest.clears_lower_bound(a, b, dist, constraint.lower, nt)
         {
             continue;
         }
@@ -286,7 +265,7 @@ pub fn bkst_on_graph_with(
                     pending = w; // cross over without adopting
                 }
             } else if forest.is_feasible_merge(cur, fid, w, &dist_s, constraint.upper)
-                && lower_ok(&mut forest, cur, fid, w)
+                && forest.clears_lower_bound(cur, fid, w, constraint.lower, nt)
             {
                 forest.merge(cur, fid, w);
                 edges.push(Edge::new(cur, fid, w));
