@@ -25,7 +25,7 @@
 //! * a plain-`if`/`while` condition temporary drops *before* the block
 //!   runs — only blocking calls inside the condition itself count.
 //!
-//! Any [`BLOCKING_CALLS`] name invoked inside a guard's scope is a
+//! Any `BLOCKING_CALLS` name invoked inside a guard's scope is a
 //! violation, attached to the blocking call's line and waivable there
 //! via `// analyze: allow(blocking-discipline) — <reason>`. The pass
 //! does not track guards across fn boundaries (a returned guard is out

@@ -281,7 +281,7 @@ fn apply_family(
 }
 
 /// Filters token-rule `candidates` through the file's `// lint: allow`
-/// markers (see [`apply_family`] for the shared mechanics).
+/// markers (see `apply_family` for the shared mechanics).
 pub fn apply_markers(file: &SourceFile, candidates: Vec<Candidate>) -> Vec<Violation> {
     apply_family(
         file,

@@ -1,8 +1,7 @@
 //! Emits the machine-readable bench trajectory: `BENCH_table2.json` with one
 //! record per `(benchmark, algorithm, eps)` — path/perf ratios, wall-clock,
 //! and an instrumentation counter snapshot for each construction — plus the
-//! `scaling.*` ladders that `cargo xtask check-perf` gates and the
-//! analysis-gate timings.
+//! `scaling.*` ladders that `cargo xtask check-perf` gates.
 //!
 //! The construction set is discovered from the builder registry rather than
 //! hard-coded: every eps-driven builder (`Window` / `PerNode` bound) is
@@ -291,115 +290,6 @@ fn scaling_sweep(quick: bool, records: &mut Vec<BenchRecord>) {
     scaling_fit_record("router", &points, records);
 }
 
-/// Times a full `bmst-analyze` workspace pass so the cost of the
-/// analysis gate stays visible in the trajectory: `lint.millis` is the
-/// wall-clock of `cargo xtask lint`'s engine (sans process spawn), and
-/// `lint.violations` must read zero on a healthy tree.
-fn lint_gate(records: &mut Vec<BenchRecord>) {
-    let mut root = bmst_analyze::workspace_root();
-    if !root.join("crates").is_dir() {
-        // Running from outside the checkout: fall back to the location
-        // this binary was compiled from.
-        root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(PathBuf::from)
-            .unwrap_or(root);
-    }
-    if !root.join("crates").is_dir() {
-        eprintln!("lint gate skipped: workspace root not found");
-        return;
-    }
-    let (report, wall_s) = timed(|| bmst_analyze::analyze_workspace(&root));
-    records.push(BenchRecord {
-        bench: "workspace".to_owned(),
-        algorithm: "lint".to_owned(),
-        eps: 0.0,
-        cost: 0.0,
-        longest_path: 0.0,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s,
-        counters: [
-            ("lint.millis".to_owned(), (wall_s * 1000.0) as u64),
-            ("lint.files".to_owned(), report.files_scanned as u64),
-            ("lint.emissions".to_owned(), report.emissions_seen as u64),
-            ("lint.violations".to_owned(), report.violations.len() as u64),
-        ]
-        .into(),
-    });
-
-    // The semantic passes (call graph, panic-reach, complexity) cost
-    // more than the token rules; track their wall-clock separately so a
-    // regression in graph construction shows up in the trajectory.
-    let (sem, sem_wall_s) = timed(|| bmst_analyze::analyze_semantic(&root));
-    records.push(BenchRecord {
-        bench: "workspace".to_owned(),
-        algorithm: "analyze-semantic".to_owned(),
-        eps: 0.0,
-        cost: 0.0,
-        longest_path: 0.0,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s: sem_wall_s,
-        counters: [
-            (
-                "analyze.semantic.millis".to_owned(),
-                (sem_wall_s * 1000.0) as u64,
-            ),
-            ("analyze.semantic.fns".to_owned(), sem.fns_indexed as u64),
-            ("analyze.semantic.edges".to_owned(), sem.call_edges as u64),
-            (
-                "analyze.semantic.violations".to_owned(),
-                sem.violations.len() as u64,
-            ),
-        ]
-        .into(),
-    });
-
-    // The cancel-liveness and blocking-discipline passes ride on the same
-    // index + call graph; time each candidate sweep on its own so a
-    // regression in loop classification or guard-scope tracking is
-    // attributable.
-    let mut io_errors = Vec::new();
-    let files = bmst_analyze::load_workspace(&root, &mut io_errors);
-    let index = bmst_analyze::items::ItemIndex::build(&files);
-    let graph = bmst_analyze::callgraph::CallGraph::build(&index);
-    let (cancel_findings, cancel_wall_s) =
-        timed(|| bmst_analyze::cancel::candidates(&index, &graph).len());
-    let (blocking_findings, blocking_wall_s) =
-        timed(|| bmst_analyze::blocking::candidates(&files).len());
-    records.push(BenchRecord {
-        bench: "workspace".to_owned(),
-        algorithm: "analyze-liveness".to_owned(),
-        eps: 0.0,
-        cost: 0.0,
-        longest_path: 0.0,
-        perf_ratio: 1.0,
-        path_ratio: 1.0,
-        wall_s: cancel_wall_s + blocking_wall_s,
-        counters: [
-            (
-                "analyze.cancel.millis".to_owned(),
-                (cancel_wall_s * 1000.0) as u64,
-            ),
-            (
-                "analyze.cancel.candidates".to_owned(),
-                cancel_findings as u64,
-            ),
-            (
-                "analyze.blocking.millis".to_owned(),
-                (blocking_wall_s * 1000.0) as u64,
-            ),
-            (
-                "analyze.blocking.candidates".to_owned(),
-                blocking_findings as u64,
-            ),
-        ]
-        .into(),
-    });
-}
-
 fn main() {
     let quick = has_flag("--quick");
     let out_dir = PathBuf::from(arg_value("--out").unwrap_or_else(|| ".".to_owned()));
@@ -407,7 +297,6 @@ fn main() {
 
     sweep_registry(quick, &mut records);
     scaling_sweep(quick, &mut records);
-    lint_gate(&mut records);
 
     match write_bench_file(&out_dir, "table2", &records) {
         Ok(path) => println!("{} records -> {}", records.len(), path.display()),

@@ -70,43 +70,15 @@ pub fn spt_tree(net: &Net) -> RoutingTree {
 /// complete graph.
 ///
 /// It appears at the top of the paper's routing-cost chart (Figure 11) as
-/// the cost ceiling. Computed by running Prim on negated weights.
+/// the cost ceiling. Computed by running Prim on negated weights, which is
+/// exact: ties go to the lowest index, and memory stays O(n).
 #[allow(clippy::expect_used)] // construction invariant, justified inline
-                              // analyze: complexity(n^2)
 pub fn maximal_spanning_tree(net: &Net) -> RoutingTree {
     let n = net.len();
     let s = net.source();
-    // Prim with maximum selection over the dense matrix.
-    let d = net.distance_matrix();
-    let mut in_tree = vec![false; n];
-    let mut best = vec![f64::NEG_INFINITY; n];
-    let mut best_from = vec![usize::MAX; n];
-    in_tree[s] = true;
-    for v in 0..n {
-        if v != s {
-            best[v] = d[(s, v)];
-            best_from[v] = s;
-        }
-    }
-    let mut edges = Vec::with_capacity(n.saturating_sub(1));
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        let mut key = f64::NEG_INFINITY;
-        for v in 0..n {
-            if !in_tree[v] && best[v] > key {
-                pick = v;
-                key = best[v];
-            }
-        }
-        in_tree[pick] = true;
-        edges.push(Edge::new(best_from[pick], pick, key));
-        for v in 0..n {
-            if !in_tree[v] && d[(pick, v)] > best[v] {
-                best[v] = d[(pick, v)];
-                best_from[v] = pick;
-            }
-        }
-    }
+    let edges = prim_mst_with(n, s, |i, j| -net.dist(i, j))
+        .into_iter()
+        .map(|e| Edge::new(e.u, e.v, -e.weight));
     // lint: allow(no-panic) — max-Prim on a complete graph always spans
     let tree = RoutingTree::from_edges(n, s, edges).expect("Prim produces a spanning tree");
     crate::audit::debug_audit(net, &tree, None);

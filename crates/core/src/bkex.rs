@@ -59,7 +59,7 @@ impl BkexConfig {
 ///
 /// # Errors
 ///
-/// Propagates [`bkrus`]'s errors; the exchange phase itself cannot fail.
+/// Propagates [`bkrus`](fn@crate::bkrus)'s errors; the exchange phase itself cannot fail.
 ///
 /// # Examples
 ///
@@ -128,30 +128,15 @@ pub fn bkex_from(
 }
 
 /// The negative-sum-exchange search under an *arbitrary* feasibility
-/// predicate.
+/// predicate, drawing the distance matrix from the caller's
+/// [`ProblemContext`] so a construction + post-processing pipeline computes
+/// it exactly once.
 ///
-/// This generalisation lets the same machinery post-optimise trees under
-/// models the geometric [`PathConstraint`] cannot express — most notably
-/// the Elmore delay bound of §3.2 (see [`crate::bkh2_elmore`]). The
-/// predicate is consulted once per candidate tree; expensive predicates
-/// (like a full Elmore evaluation) simply make the search proportionally
-/// slower.
-///
-/// The `start` tree should satisfy the predicate; only predicate-satisfying
-/// trees are ever committed.
-pub fn bkex_from_with(
-    net: &Net,
-    feasible: &dyn Fn(&RoutingTree) -> bool,
-    start: RoutingTree,
-    config: BkexConfig,
-) -> RoutingTree {
-    let cx = ProblemContext::unbounded(net);
-    exchange(&cx, feasible, start, config)
-}
-
-/// The exchange search proper, drawing the distance matrix from the
-/// caller's [`ProblemContext`] so a construction + post-processing pipeline
-/// computes it exactly once.
+/// The predicate lets the same machinery post-optimise trees under models
+/// the geometric [`PathConstraint`] cannot express — most notably the
+/// Elmore delay bound of §3.2 (see [`crate::bkh2_elmore`]). It is consulted
+/// once per candidate tree, and only predicate-satisfying trees are ever
+/// committed.
 pub(crate) fn exchange(
     cx: &ProblemContext<'_>,
     feasible: &dyn Fn(&RoutingTree) -> bool,

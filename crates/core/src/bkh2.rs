@@ -20,7 +20,7 @@ use crate::{elmore_spt_radius, BmstError, PathConstraint, ProblemContext};
 ///
 /// # Errors
 ///
-/// Propagates [`bkrus`]'s errors; the exchange phase itself cannot fail.
+/// Propagates [`bkrus`](fn@crate::bkrus)'s errors; the exchange phase itself cannot fail.
 ///
 /// # Examples
 ///
@@ -70,8 +70,9 @@ pub fn bkh2_from(net: &Net, constraint: PathConstraint, start: RoutingTree) -> R
 ///
 /// # Errors
 ///
-/// Propagates [`bkrus_elmore`]'s errors ([`BmstError::Infeasible`] when the
-/// Elmore scan dead-ends, [`BmstError::InvalidEpsilon`] for bad `eps`).
+/// Propagates [`bkrus_elmore`](crate::bkrus_elmore)'s errors
+/// ([`BmstError::Infeasible`] when the Elmore scan dead-ends,
+/// [`BmstError::InvalidEpsilon`] for bad `eps`).
 ///
 /// # Panics
 ///

@@ -61,11 +61,6 @@ pub struct BuilderDescriptor {
     pub cost_class: CostClass,
     /// The kind of path-length guarantee.
     pub bound: BoundKind,
-    /// Whether the construction works in any metric (L1/L2); `false` means
-    /// rectilinear-only.
-    pub metric: bool,
-    /// Whether the construction reads [`ProblemContext::elmore_params`].
-    pub elmore: bool,
     /// Whether the construction may introduce Steiner points (its geometry
     /// has more points than the net has terminals).
     pub steiner: bool,
@@ -235,8 +230,6 @@ pub mod builders {
                 summary: "bounded-Kruskal heuristic (paper §3.1)",
                 cost_class: CostClass::Heuristic,
                 bound: BoundKind::Window,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -262,8 +255,6 @@ pub mod builders {
                 summary: "BKRUS emitting per-edge decision trace events",
                 cost_class: CostClass::Heuristic,
                 bound: BoundKind::Window,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: Some("bkrus"),
             }
@@ -307,8 +298,6 @@ pub mod builders {
                 summary: "BKRUS + depth-2 negative-sum-exchange local search (§5)",
                 cost_class: CostClass::LocalSearch,
                 bound: BoundKind::Window,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -335,8 +324,6 @@ pub mod builders {
                 summary: "iterated negative-sum-exchange search, depth 4 (§5)",
                 cost_class: CostClass::Exact,
                 bound: BoundKind::Window,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -363,8 +350,6 @@ pub mod builders {
                 summary: "exact enumeration in nondecreasing cost order (§4)",
                 cost_class: CostClass::Exact,
                 bound: BoundKind::Window,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -388,8 +373,6 @@ pub mod builders {
                 summary: "bounded-Prim baseline of Cong et al. (§2)",
                 cost_class: CostClass::Baseline,
                 bound: BoundKind::PerNode,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -413,8 +396,6 @@ pub mod builders {
                 summary: "bounded-radius-bounded-cost baseline of Cong et al. (§2)",
                 cost_class: CostClass::Baseline,
                 bound: BoundKind::Window,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -439,8 +420,6 @@ pub mod builders {
                 summary: "AHHK Prim/Dijkstra blend, no hard bound (§2)",
                 cost_class: CostClass::Heuristic,
                 bound: BoundKind::Soft,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -465,8 +444,6 @@ pub mod builders {
                 summary: "BKRUS bounding Elmore delay instead of wirelength (§3.2)",
                 cost_class: CostClass::Heuristic,
                 bound: BoundKind::Delay,
-                metric: true,
-                elmore: true,
                 steiner: false,
                 variant_of: None,
             }
@@ -490,8 +467,6 @@ pub mod builders {
                 summary: "minimum spanning tree baseline (unbounded paths)",
                 cost_class: CostClass::Baseline,
                 bound: BoundKind::None,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -515,8 +490,6 @@ pub mod builders {
                 summary: "shortest path tree baseline (source star)",
                 cost_class: CostClass::Baseline,
                 bound: BoundKind::None,
-                metric: true,
-                elmore: false,
                 steiner: false,
                 variant_of: None,
             }
@@ -685,8 +658,6 @@ mod tests {
                     summary: "always panics",
                     cost_class: CostClass::Baseline,
                     bound: BoundKind::None,
-                    metric: true,
-                    elmore: false,
                     steiner: false,
                     variant_of: None,
                 }

@@ -111,6 +111,9 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
         if ru == rv {
             continue;
         }
+        // Poll before every tentative merge: each one costs O(n) or more,
+        // and the stream itself polls only when it refills.
+        cx.check_cancelled()?;
         // Tentative merged component.
         let mut merged: Vec<Edge> =
             Vec::with_capacity(comp_edges[ru].len() + comp_edges[rv].len() + 1);

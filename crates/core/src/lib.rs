@@ -90,7 +90,7 @@ mod supply;
 pub use ahhk::prim_dijkstra;
 pub use audit::audit_construction;
 pub use baselines::{maximal_spanning_tree, mst_tree, spt_tree};
-pub use bkex::{bkex, bkex_from, bkex_from_with, BkexConfig};
+pub use bkex::{bkex, bkex_from, BkexConfig};
 pub use bkh2::{bkh2, bkh2_elmore, bkh2_from};
 pub use bkrus::{bkrus, bkrus_trace, EdgeDecision, TraceEvent};
 pub use bprim::bprim;

@@ -48,4 +48,4 @@ pub use dijkstra::{dijkstra, ShortestPaths};
 pub use dsu::DisjointSets;
 pub use edge::{complete_edges, sort_edges, tree_cost, Edge};
 pub use enumerate::{EnumeratedTree, SpanningTreeEnumerator};
-pub use mst::{kruskal_mst, mst_cost, prim_mst, prim_mst_with, GraphError};
+pub use mst::{kruskal_mst, prim_mst, prim_mst_with, GraphError};

@@ -169,16 +169,6 @@ pub fn prim_mst_with<F: Fn(usize, usize) -> f64>(n: usize, root: usize, dist: F)
     edges
 }
 
-/// Cost of the minimum spanning tree of the complete graph over `d`.
-///
-/// Convenience wrapper used pervasively by the benchmark harness.
-pub fn mst_cost(d: &DistanceMatrix) -> f64 {
-    if d.is_empty() {
-        return 0.0;
-    }
-    prim_mst(d, 0).iter().map(|e| e.weight).sum()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
@@ -229,7 +219,6 @@ mod tests {
         let kruskal = kruskal_mst(5, &complete_edges(&d)).unwrap();
         let prim = prim_mst(&d, 0);
         assert!((tree_cost(&kruskal) - tree_cost(&prim)).abs() < 1e-9);
-        assert_eq!(mst_cost(&d), tree_cost(&prim));
     }
 
     #[test]
@@ -248,7 +237,6 @@ mod tests {
     fn prim_single_node() {
         let d = bmst_geom::DistanceMatrix::from_points(&line_points(1), Metric::L1);
         assert!(prim_mst(&d, 0).is_empty());
-        assert_eq!(mst_cost(&d), 0.0);
     }
 
     #[test]
@@ -256,11 +244,6 @@ mod tests {
     fn prim_bad_root_panics() {
         let d = bmst_geom::DistanceMatrix::from_points(&line_points(2), Metric::L1);
         prim_mst(&d, 7);
-    }
-
-    #[test]
-    fn mst_cost_empty_matrix_is_zero() {
-        assert_eq!(mst_cost(&bmst_geom::DistanceMatrix::zeros(0)), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Feature-gated counting global allocator.
 //!
-//! [`CountingAlloc`] wraps the system allocator and counts, per thread,
-//! how many heap allocations were requested and how many bytes they
-//! asked for. Spans read these counters at entry and exit, and report
-//! the delta to the installed recorder via
+//! [`CountingAlloc`](crate::alloc::CountingAlloc) wraps the system
+//! allocator and counts, per thread, how many heap allocations were
+//! requested and how many bytes they asked for. Spans read these counters
+//! at entry and exit, and report the delta to the installed recorder via
 //! [`Recorder::record_span_alloc`](crate::Recorder::record_span_alloc) —
 //! which is how `--profile` grows `allocs / KiB` columns.
 //!

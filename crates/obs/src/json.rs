@@ -7,9 +7,10 @@
 //! trajectory files, and `cargo xtask check-trace`/`check-bench` parse them
 //! back for validation.
 //!
-//! Non-finite numbers have no JSON representation; [`Json::Num`] serialises
-//! them as `null` (callers that must preserve `inf` — the unbounded epsilon
-//! row — encode it as the string `"inf"`).
+//! Non-finite numbers have no JSON representation;
+//! [`Json::Num`](crate::json::Json::Num) serialises them as `null` (callers
+//! that must preserve `inf` — the unbounded epsilon row — encode it as the
+//! string `"inf"`).
 //!
 //! # Examples
 //!

@@ -23,7 +23,7 @@
 //! aggregated counters/histograms on [`JsonLinesRecorder::finish`]).
 //! [`MultiRecorder`] fans out to several.
 //!
-//! With the `alloc` feature, the [`alloc`] module adds a counting global
+//! With the `alloc` feature, the `alloc` module adds a counting global
 //! allocator; processes that install it get per-span allocation deltas
 //! reported through [`Recorder::record_span_alloc`].
 //!

@@ -82,7 +82,7 @@ pub trait Recorder: Send + Sync {
     /// span's thread (cumulative — nested spans count in their parents).
     ///
     /// Only emitted when the `alloc` feature is on *and* the process runs
-    /// under [`crate::alloc::CountingAlloc`]; the default implementation
+    /// under `alloc::CountingAlloc`; the default implementation
     /// discards, so existing recorders are unaffected.
     fn record_span_alloc(&self, path: &str, allocs: u64, bytes: u64) {
         let _ = (path, allocs, bytes);

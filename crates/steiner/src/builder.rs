@@ -30,8 +30,6 @@ impl TreeBuilder for BkstBuilder {
             summary: "bounded-Kruskal Steiner tree on the Hanan grid (§3.3)",
             cost_class: CostClass::Heuristic,
             bound: BoundKind::Window,
-            metric: false,
-            elmore: false,
             steiner: true,
             variant_of: None,
         }

@@ -295,7 +295,7 @@ impl fmt::Debug for AuditContext<'_> {
 impl RoutingTree {
     /// Recomputes every derived invariant of this tree from first
     /// principles and cross-checks it against the stored state, plus the
-    /// semantic checks enabled by `ctx` (see the [module docs](self)).
+    /// semantic checks enabled by `ctx` (see the `audit` module docs).
     ///
     /// Returns the first violation found; checks run cheapest-first so a
     /// structural corruption is reported before any semantic noise it may

@@ -90,14 +90,6 @@ impl ElmoreParams {
             load_cap,
         }
     }
-
-    /// Grows the load vector to cover `n` nodes, new nodes getting zero load
-    /// (used when Steiner points are materialised).
-    pub fn grow_loads(&mut self, n: usize) {
-        if n > self.load_cap.len() {
-            self.load_cap.resize(n, 0.0);
-        }
-    }
 }
 
 /// Elmore delays from a fixed origin node to every covered node of a tree.
@@ -425,14 +417,6 @@ mod tests {
         let p = ElmoreParams::uniform_loads(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0);
         let d = ElmoreDelays::from_source(&t, &p);
         assert_eq!(d.delay, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn grow_loads_extends_with_zero() {
-        let mut p = params(2);
-        p.grow_loads(4);
-        assert_eq!(p.load_cap.len(), 4);
-        assert_eq!(p.load_cap[3], 0.0);
     }
 
     #[test]

@@ -81,6 +81,43 @@ fn figure11_cost_ordering_on_average() {
     }
 }
 
+/// BRBC's bicriteria guarantee (Cong et al.; framed as bicriteria by Ravi
+/// et al., "Spanning trees short or small"): radius at most `(1 + eps) R`
+/// and cost at most `(1 + 2 / eps)` times the MST.
+#[test]
+fn brbc_meets_its_bicriteria_bound() {
+    let mut nets: Vec<(String, bmst_geom::Net)> = Benchmark::SPECIAL
+        .iter()
+        .map(|b| (b.name().to_owned(), b.build()))
+        .collect();
+    for seed in 0..12 {
+        let sinks = 5 + 3 * usize::try_from(seed).unwrap();
+        nets.push((format!("rand{seed}"), random_net(sinks, 700 + seed)));
+    }
+    nets.push(("clustered".into(), clustered_net(4, 6, 100.0, 11)));
+    nets.push(("rows".into(), row_net(3, 24, 100.0, 12)));
+    nets.push(("ring".into(), ring_net(24, 40.0, 0.2, 13)));
+
+    for (name, net) in &nets {
+        let mst = mst_tree(net).cost();
+        for eps in [0.1, 0.2, 0.5, 1.0] {
+            let tree = brbc(net, eps).unwrap();
+            let radius = tree.max_dist_from_root(net.sinks());
+            let radius_bound = net.path_bound(eps);
+            let cost_bound = (1.0 + 2.0 / eps) * mst;
+            assert!(
+                radius <= radius_bound * (1.0 + 1e-12),
+                "{name}/{eps}: radius {radius} > {radius_bound}"
+            );
+            assert!(
+                tree.cost() <= cost_bound * (1.0 + 1e-12),
+                "{name}/{eps}: cost {} > {cost_bound}",
+                tree.cost()
+            );
+        }
+    }
+}
+
 /// Exactness: depth-(V-1) BKEX matches the Gabow optimum.
 #[test]
 fn bkex_exact_depth_matches_gabow() {
