@@ -247,7 +247,7 @@ fn blocking_discipline_scope_is_per_crate() {
 
 /// Re-runs the cancel pass over the live workspace with one poll site
 /// deleted from an in-memory copy of a builder file. Every single poll in
-/// the BKRUS / BPRIM / EdgeStream / BKST / Gabow inner loops is
+/// the BKRUS / Elmore-BKRUS / BPRIM / EdgeStream / BKST / Gabow / BKEX inner loops is
 /// load-bearing: removing any one of them must surface a `cancel-liveness`
 /// violation in that file, with an entry→…→fn witness chain in the message.
 fn assert_poll_is_load_bearing(file_suffix: &str, mutate: impl Fn(&str) -> Option<String>) {
@@ -344,6 +344,25 @@ fn deleting_the_bkst_heap_poll_is_caught() {
     // The second is the strided one in the candidate-heap loop.
     assert_poll_is_load_bearing("steiner/src/bkst.rs", |t| {
         delete_nth_line(t, "cx.check_cancelled()?;", 1)
+    });
+}
+
+#[test]
+fn deleting_the_elmore_bkrus_candidate_poll_is_caught() {
+    // The first poll is the one before every tentative merge; the second
+    // is the post-loop deadline-vs-infeasible disambiguation.
+    assert_poll_is_load_bearing("core/src/elmore_bkrus.rs", |t| {
+        delete_nth_line(t, "cx.check_cancelled()?;", 0)
+    });
+}
+
+#[test]
+fn deleting_the_bkex_scan_poll_is_caught() {
+    // The per-row poll of the exchange search sits in an `if` header;
+    // substituting `false` deletes the check and keeps the braces balanced.
+    assert_poll_is_load_bearing("core/src/bkex.rs", |t| {
+        t.contains("cx.check_cancelled().is_err()")
+            .then(|| t.replace("cx.check_cancelled().is_err()", "false"))
     });
 }
 

@@ -28,8 +28,7 @@ pub fn audit_construction(
     tree: &RoutingTree,
     constraint: Option<&PathConstraint>,
 ) -> Result<(), AuditViolation> {
-    let d = net.distance_matrix();
-    let mut ctx = AuditContext::default().with_distances(&d);
+    let mut ctx = AuditContext::default().with_net(net);
     if let Some(c) = constraint {
         if c.upper.is_finite() {
             ctx = ctx.with_upper_bound(c.upper);

@@ -144,19 +144,15 @@ pub(crate) fn exchange(
     config: BkexConfig,
 ) -> RoutingTree {
     let net = cx.net();
-    let d = cx.matrix();
     let mut incumbent = start;
     let _obs_span = bmst_obs::span("bkex");
     let mut committed = 0u64;
-    while let Some(better) = dfs_exchange(net, d, feasible, &incumbent, 0.0, 0, config.max_depth) {
+    // A fired token unwinds the search with `None`, so a deadline keeps the
+    // incumbent and the caller's window check surfaces it.
+    while let Some(better) = dfs_exchange(cx, feasible, &incumbent, 0.0, 0, config.max_depth) {
         debug_assert!(better.cost() < incumbent.cost());
         incumbent = better;
         committed += 1;
-        // Poll between committed rounds: a deadline keeps the improved
-        // incumbent instead of abandoning the search mid-exchange.
-        if cx.check_cancelled().is_err() {
-            break;
-        }
     }
     if bmst_obs::enabled() {
         bmst_obs::counter("bkex.exchanges_committed", committed);
@@ -169,12 +165,12 @@ pub(crate) fn exchange(
 
 /// One level of the paper's `DFS_EXCHANGE(T, weight_sum)`. Returns a
 /// feasible tree strictly cheaper than the iteration's root, if one is
-/// reachable through negative-prefix exchange sequences from `tree`.
+/// reachable through negative-prefix exchange sequences from `tree`, and
+/// `None` once `cx`'s token has fired.
 #[allow(clippy::expect_used)] // cycle-walk invariants, justified inline
-                              // analyze: complexity(n^3) analyze: allow(cancel-liveness) — depth-bounded by max_depth; exchange polls between committed rounds
+                              // analyze: complexity(n^3)
 fn dfs_exchange(
-    net: &Net,
-    d: &bmst_geom::DistanceMatrix,
+    cx: &ProblemContext<'_>,
     feasible: &dyn Fn(&RoutingTree) -> bool,
     tree: &RoutingTree,
     weight_sum: f64,
@@ -184,9 +180,15 @@ fn dfs_exchange(
     if depth >= max_depth {
         return None;
     }
-    let n = net.len();
+    let d = cx.matrix();
+    let n = cx.net().len();
     // "for each edge (x, y) in G - T" in canonical order.
     for x in 0..n {
+        // Poll once per row, at every depth: one row walks a cycle per
+        // non-tree edge and may recurse, so rounds can run for minutes.
+        if cx.check_cancelled().is_err() {
+            return None;
+        }
         for y in (x + 1)..n {
             if tree.contains_edge(x, y) {
                 continue;
@@ -221,8 +223,7 @@ fn dfs_exchange(
                         return Some(candidate);
                     }
                     if let Some(found) = dfs_exchange(
-                        net,
-                        d,
+                        cx,
                         feasible,
                         &candidate,
                         weight_sum + diff,

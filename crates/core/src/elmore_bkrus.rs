@@ -6,12 +6,24 @@
 //! that shares wire upstream — the incremental `P`/`r` update of geometric
 //! BKRUS no longer applies: radii "must be completely recomputed after a
 //! tentative merger of the two subtrees", making the feasibility test
-//! `O(V^2)` and the whole construction `O(E V^2)`.
+//! `O(V^2)` and the whole construction `O(E V^2)` in the paper.
+//!
+//! Here the recomputation is one walk of the tentatively merged component.
+//! The scan runs on the same [`KruskalForest`] as geometric BKRUS, whose
+//! adjacency gives every node its tree edges in acceptance order, with the
+//! candidate edge appended last. A walk from the source yields each
+//! downstream capacitance in reverse preorder and each delay in preorder,
+//! for (3-a). For (3-b) a second, rerooting pass yields every node's
+//! Elmore radius: the delay across a directed edge `p → k` loads it with
+//! `C_k` going down and with `C_total − C_k − c_s·len` going up, and each
+//! node keeps its two longest downward branches. So a candidate merging
+//! `k` nodes costs `O(k)`, on scratch the run allocates once.
 
 use bmst_geom::{le_tol, Net};
-use bmst_graph::{DisjointSets, Edge};
-use bmst_tree::{elmore, ElmoreDelays, ElmoreParams, RoutingTree};
+use bmst_graph::Edge;
+use bmst_tree::{ElmoreDelays, ElmoreParams, RoutingTree};
 
+use crate::forest::KruskalForest;
 use crate::{BmstError, ProblemContext};
 
 /// The Elmore reference radius `R`: the worst source-to-sink Elmore delay of
@@ -98,82 +110,198 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
         (1.0 + eps) * elmore_spt_radius(net, params)
     };
 
-    let mut dsu = DisjointSets::new(n);
-    // Edge list per component, keyed by DSU representative.
-    let mut comp_edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
-    let mut accepted = 0usize;
+    // Build the stream's neighbor index before opening the construction
+    // span, so its cost is attributed to the context, not this run.
+    let stream = cx.edge_stream();
+    let _obs_span = bmst_obs::span("elmore_bkrus");
 
-    for e in cx.edge_stream() {
-        if accepted == n - 1 {
+    let mut forest = KruskalForest::new(n, s);
+    // Accepted edges in acceptance order: the final tree is built once.
+    let mut edges: Vec<Edge> = Vec::with_capacity(n - 1);
+    let mut merged = MergedTree::default();
+
+    for e in stream {
+        if edges.len() == n - 1 {
             break;
         }
-        let (ru, rv) = (dsu.find(e.u), dsu.find(e.v));
-        if ru == rv {
+        if forest.same_component(e.u, e.v) {
             continue;
         }
-        // Poll before every tentative merge: each one costs O(n) or more,
-        // and the stream itself polls only when it refills.
+        // Poll before every tentative merge: each one walks the merged
+        // component, and the stream itself polls only when it refills.
         cx.check_cancelled()?;
-        // Tentative merged component.
-        let mut merged: Vec<Edge> =
-            Vec::with_capacity(comp_edges[ru].len() + comp_edges[rv].len() + 1);
-        merged.extend_from_slice(&comp_edges[ru]);
-        merged.extend_from_slice(&comp_edges[rv]);
-        merged.push(e);
-
-        let has_source = dsu.same_set(e.u, s) || dsu.same_set(e.v, s);
-        let feasible = if bound.is_infinite() {
-            true
-        } else if has_source {
-            let t = RoutingTree::from_edges(n, s, merged.iter().copied())?;
-            let delays = ElmoreDelays::from_source(&t, params);
-            le_tol(delays.max_delay(), bound)
-        } else {
-            // Root the component tree anywhere (e.u) and recompute all radii.
-            let t = RoutingTree::from_edges(n, e.u, merged.iter().copied())?;
-            let radii = elmore::elmore_radii(&t, params);
-            let total_cap = elmore::total_capacitance(&t, params);
-            let any_feasible = t.covered_nodes().any(|x| {
-                let dsx = cx.dist(s, x);
-                let direct = params.driver_res
-                    * (params.driver_cap + params.unit_cap * dsx + total_cap)
-                    + params.unit_res * dsx * (params.unit_cap * dsx / 2.0 + total_cap)
-                    + radii[x];
-                le_tol(direct, bound)
-            });
-            any_feasible
+        let feasible = bound.is_infinite() || {
+            bmst_obs::counter("elmore.evaluations", 1);
+            if forest.contains_source(e.u) || forest.contains_source(e.v) {
+                merged.walk(&forest, e, s, params);
+                le_tol(merged.max_source_delay(params), bound)
+            } else {
+                merged.walk(&forest, e, e.u, params);
+                merged.radii(params);
+                let total_cap = merged.cap[0];
+                merged.node.iter().zip(&merged.delay).any(|(&x, &radius)| {
+                    let dsx = cx.dist(s, x);
+                    let direct = params.driver_res
+                        * (params.driver_cap + params.unit_cap * dsx + total_cap)
+                        + params.unit_res * dsx * (params.unit_cap * dsx / 2.0 + total_cap)
+                        + radius;
+                    le_tol(direct, bound)
+                })
+            }
         };
-
         if feasible {
-            dsu.union(e.u, e.v);
-            let new_root = dsu.find(e.u);
-            let (a, b) = (ru.min(rv), ru.max(rv));
-            // Move both lists into the new representative slot.
-            let mut list = std::mem::take(&mut comp_edges[b]);
-            let mut other = std::mem::take(&mut comp_edges[a]);
-            list.append(&mut other);
-            list.push(e);
-            comp_edges[new_root] = list;
-            accepted += 1;
+            forest.merge(e.u, e.v, e.weight);
+            edges.push(e);
         }
     }
 
-    if accepted != n - 1 {
+    if edges.len() != n - 1 {
         // A fired token truncates the edge stream: surface the deadline,
         // not a bogus Infeasible.
         cx.check_cancelled()?;
         return Err(BmstError::Infeasible {
-            connected: accepted + 1,
+            connected: edges.len() + 1,
             total: n,
             min_feasible_eps: None,
         });
     }
-    let root = dsu.find(s);
-    let tree = RoutingTree::from_edges(n, s, comp_edges[root].iter().copied())?;
+    let tree = RoutingTree::from_edges(n, s, edges)?;
     // The feasibility bound here is an Elmore delay, not a geometric path
     // window, so only the structural and merge invariants are audited.
     crate::audit::debug_audit(net, &tree, None);
     Ok(tree)
+}
+
+const NONE: usize = usize::MAX;
+
+/// Elmore delay across one wire of length `len` driving `cap` downstream.
+#[inline]
+fn wire_delay(params: &ElmoreParams, len: f64, cap: f64) -> f64 {
+    params.unit_res * len * (params.unit_cap / 2.0 * len + cap)
+}
+
+/// One tentatively merged component, walked from a root and indexed by
+/// preorder position. The run allocates it once; every walk reuses its
+/// capacity, so no per-candidate allocation grows with `n`.
+#[derive(Debug, Default)]
+struct MergedTree {
+    /// `node[i]`: the node at preorder position `i`.
+    node: Vec<usize>,
+    /// `parent[i]`: the preorder position of `node[i]`'s parent, `NONE` at
+    /// the root.
+    parent: Vec<usize>,
+    /// `len[i]`: the length of the wire from `node[i]` to its parent.
+    len: Vec<f64>,
+    /// `cap[i]`: the capacitance downstream of `node[i]` (the paper's `C_k`);
+    /// `cap[0]` is the component's total capacitance.
+    cap: Vec<f64>,
+    /// `delay[i]`: the delay from the root ([`MergedTree::max_source_delay`])
+    /// or the Elmore radius ([`MergedTree::radii`]) of `node[i]`.
+    delay: Vec<f64>,
+    /// `down[i]`: the two longest delays from `node[i]` into its subtree,
+    /// and the child position the first runs through.
+    down: Vec<(f64, f64, usize)>,
+    /// Nodes still to visit, as `(node, parent position, wire length)`.
+    stack: Vec<(usize, usize, f64)>,
+}
+
+impl MergedTree {
+    /// Walks the partial trees of `e.u` and `e.v`, joined by `e`, from
+    /// `root`, and takes every downstream capacitance in reverse preorder.
+    ///
+    /// Each node's tree edges come in acceptance order with `e` last, the
+    /// order in which a routing tree built from the merged edge list would
+    /// list its children, so the preorder and every capacitance sum match
+    /// [`ElmoreDelays::from_source`] on that tree bit for bit.
+    // analyze: allow(cancel-liveness) — one walk of a single merged component per call; run polls before every tentative merge
+    fn walk(&mut self, forest: &KruskalForest, e: Edge, root: usize, params: &ElmoreParams) {
+        self.node.clear();
+        self.parent.clear();
+        self.len.clear();
+        self.stack.push((root, NONE, 0.0));
+        while let Some((x, p, wire)) = self.stack.pop() {
+            let i = self.node.len();
+            self.node.push(x);
+            self.parent.push(p);
+            self.len.push(wire);
+            let from = if p == NONE { NONE } else { self.node[p] };
+            let candidate = if x == e.u {
+                Some((e.v, e.weight))
+            } else if x == e.v {
+                Some((e.u, e.weight))
+            } else {
+                None
+            };
+            for &(y, w) in forest.neighbors(x).iter().chain(&candidate) {
+                if y != from {
+                    self.stack.push((y, i, w));
+                }
+            }
+        }
+        self.cap.clear();
+        self.cap.resize(self.node.len(), 0.0);
+        for i in (0..self.node.len()).rev() {
+            self.cap[i] += params.load_cap[self.node[i]];
+            let p = self.parent[i];
+            if p != NONE {
+                self.cap[p] += self.cap[i] + params.unit_cap * self.len[i];
+            }
+        }
+    }
+
+    /// The worst delay from the root, driver term included: condition
+    /// (3-a) when the root is the source.
+    // analyze: complexity(n)
+    fn max_source_delay(&mut self, params: &ElmoreParams) -> f64 {
+        self.delay.clear();
+        let mut worst = 0.0_f64;
+        for (i, &p) in self.parent.iter().enumerate() {
+            let delay = if p == NONE {
+                params.driver_res * (params.driver_cap + self.cap[i])
+            } else {
+                self.delay[p] + wire_delay(params, self.len[i], self.cap[i])
+            };
+            self.delay.push(delay);
+            worst = worst.max(delay);
+        }
+        worst
+    }
+
+    /// Writes every node's Elmore radius `max_y delay(x, y)`, without the
+    /// driver term, to `delay`: the longest branch into its subtree, from
+    /// `down` in reverse preorder, against the longest path leaving through
+    /// its parent, in preorder.
+    // analyze: complexity(n)
+    fn radii(&mut self, params: &ElmoreParams) {
+        let k = self.node.len();
+        let total = self.cap[0];
+        self.down.clear();
+        self.down.resize(k, (0.0, 0.0, NONE));
+        for i in (1..k).rev() {
+            let reach = wire_delay(params, self.len[i], self.cap[i]) + self.down[i].0;
+            let best = &mut self.down[self.parent[i]];
+            if reach > best.0 {
+                *best = (reach, best.0, i);
+            } else if reach > best.1 {
+                best.1 = reach;
+            }
+        }
+        // `delay[i]` first holds the longest path leaving `node[i]` through
+        // its parent, then, once every such value is known, the radius.
+        self.delay.clear();
+        self.delay.resize(k, 0.0);
+        for i in 1..k {
+            let p = self.parent[i];
+            let len = self.len[i];
+            let upstream = total - self.cap[i] - params.unit_cap * len;
+            let (first, second, via) = self.down[p];
+            let sideways = if via == i { second } else { first };
+            self.delay[i] = wire_delay(params, len, upstream) + self.delay[p].max(sideways);
+        }
+        for (radius, &(first, _, _)) in self.delay.iter_mut().zip(&self.down) {
+            *radius = radius.max(first);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +325,61 @@ mod tests {
         // A strong driver so the SPT is comfortably feasible (paper's
         // requirement).
         ElmoreParams::uniform_loads(n, 0, 0.1, 0.2, 1.0, 0.5, 1.0)
+    }
+
+    /// The walk against `ElmoreDelays` on random trees held in a forest
+    /// with one edge left out as the candidate: from the source, the worst
+    /// delay matches bit for bit; after rerooting, every radius and the
+    /// total capacitance match one `from_node` evaluation per node to a
+    /// relative 1e-12.
+    #[test]
+    fn walk_matches_per_node_delays() {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..40);
+            let mut edges: Vec<Edge> = (1..n)
+                .map(|v| Edge::new(rng.gen_range(0..v), v, rng.gen_range(0.5..40.0)))
+                .collect();
+            let held = edges.remove(rng.gen_range(0..n - 1));
+            let params = ElmoreParams::uniform_loads(
+                n,
+                0,
+                rng.gen_range(0.01..1.0),
+                rng.gen_range(0.01..1.0),
+                rng.gen_range(0.0..5.0),
+                rng.gen_range(0.0..2.0),
+                rng.gen_range(0.0..3.0),
+            );
+            let mut forest = KruskalForest::new(n, 0);
+            for e in &edges {
+                forest.merge(e.u, e.v, e.weight);
+            }
+            // The candidate comes last, as in the run's edge list.
+            edges.push(held);
+            let tree = RoutingTree::from_edges(n, 0, edges.iter().copied()).unwrap();
+            let mut merged = MergedTree::default();
+
+            merged.walk(&forest, held, 0, &params);
+            let from_source = ElmoreDelays::from_source(&tree, &params).max_delay();
+            assert_eq!(
+                merged.max_source_delay(&params).to_bits(),
+                from_source.to_bits()
+            );
+
+            merged.walk(&forest, held, held.u, &params);
+            merged.radii(&params);
+            assert_eq!(merged.node.len(), n);
+            let wire: f64 = edges.iter().map(|e| params.unit_cap * e.weight).sum();
+            let total = wire + params.load_cap.iter().sum::<f64>();
+            assert!(close(merged.cap[0], total), "{} vs {total}", merged.cap[0]);
+            for (&x, &radius) in merged.node.iter().zip(&merged.delay) {
+                let exact = ElmoreDelays::from_node(&tree, x, &params)
+                    .unwrap()
+                    .max_delay();
+                assert!(close(radius, exact), "radius of {x}: {radius} vs {exact}");
+            }
+        }
     }
 
     #[test]

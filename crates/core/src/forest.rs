@@ -157,6 +157,13 @@ impl KruskalForest {
         self.r[x]
     }
 
+    /// Tree edges at `x` as `(neighbor, length)` pairs, in the order they
+    /// were merged.
+    #[inline]
+    pub fn neighbors(&self, x: usize) -> &[(usize, f64)] {
+        &self.adj[x]
+    }
+
     /// Writes `dist[x] = path(start, x)` for every `x` in `start`'s partial
     /// tree: one depth-first walk of its tree edges, `O(|t|)`. Entries of
     /// other partial trees are left as they are.

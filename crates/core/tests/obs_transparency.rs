@@ -5,8 +5,11 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use bmst_core::{bkex, bkh2, bkrus, bprim, gabow_bmst, registry, BkexConfig, ProblemContext};
+use bmst_core::{
+    bkex, bkh2, bkrus, bkrus_elmore, bprim, gabow_bmst, registry, BkexConfig, ProblemContext,
+};
 use bmst_geom::{Net, Point};
+use bmst_graph::{complete_edges, sort_edges, DisjointSets};
 use bmst_obs::{NoopRecorder, SpanTreeRecorder, SummaryRecorder};
 use bmst_tree::RoutingTree;
 use rand::rngs::StdRng;
@@ -203,4 +206,42 @@ fn spans_nest_across_algorithm_layers() {
     assert!(rec.span_stats("bkh2").is_some());
     assert!(rec.span_stats("bkh2/bkrus").is_some());
     assert!(rec.span_stats("bkh2/bkex").is_some());
+}
+
+#[test]
+fn elmore_bkrus_counts_one_evaluation_per_tentative_merge() {
+    let _serial = serial();
+    let net = scatter_net(30);
+    let params = ProblemContext::default_elmore_params(&net);
+    let rec = Arc::new(SummaryRecorder::new());
+    let tree = {
+        let _guard = bmst_obs::scoped(rec.clone());
+        bkrus_elmore(&net, 0.1, &params).unwrap()
+    };
+    // Replay the scan on the accepted edges: every edge that joins two
+    // partial trees before the last acceptance was a tentative merge.
+    let mut sorted = complete_edges(&net.distance_matrix());
+    sort_edges(&mut sorted);
+    let mut dsu = DisjointSets::new(net.len());
+    let (mut tentative, mut accepted) = (0, 0);
+    for e in sorted {
+        if accepted == net.len() - 1 {
+            break;
+        }
+        if dsu.same_set(e.u, e.v) {
+            continue;
+        }
+        tentative += 1;
+        if tree.contains_edge(e.u, e.v) {
+            dsu.union(e.u, e.v);
+            accepted += 1;
+        }
+    }
+    assert!(tentative > accepted, "the bound should reject some merges");
+    assert_eq!(rec.span_stats("elmore_bkrus").map(|s| s.count), Some(1));
+    // One more evaluation computes the reference radius `R`.
+    assert_eq!(
+        rec.counter("elmore.evaluations"),
+        u64::try_from(tentative).unwrap() + 1
+    );
 }

@@ -19,14 +19,14 @@
 //!    window is in force.
 //!
 //! The checks are `O(V^2)` at worst (dominated by nothing — each pass is
-//! linear; the matrix lookup is constant), cheap enough to run after every
-//! construction in debug builds and behind an explicit `--audit` flag in
-//! release binaries.
+//! linear; each edge's metric distance is computed on demand from the net),
+//! cheap enough to run after every construction in debug builds and behind
+//! an explicit `--audit` flag in release binaries.
 
 use std::error::Error;
 use std::fmt;
 
-use bmst_geom::{DistanceMatrix, EPS_TOL};
+use bmst_geom::{Net, EPS_TOL};
 
 use crate::RoutingTree;
 
@@ -220,8 +220,8 @@ impl Error for AuditViolation {}
 /// Optional semantic context for [`RoutingTree::audit`].
 ///
 /// With the default (empty) context only the structural invariants are
-/// checked. Supplying a distance matrix enables the §3.1 merge-consistency
-/// check; supplying bounds enables the path-window checks.
+/// checked. Supplying the net enables the §3.1 merge-consistency check;
+/// supplying bounds enables the path-window checks.
 ///
 /// # Examples
 ///
@@ -242,7 +242,7 @@ impl Error for AuditViolation {}
 /// ```
 #[derive(Default, Clone, Copy)]
 pub struct AuditContext<'a> {
-    distances: Option<&'a DistanceMatrix>,
+    net: Option<&'a Net>,
     upper_bound: Option<f64>,
     lower_bound: Option<f64>,
     bounded_nodes: Option<&'a [usize]>,
@@ -250,10 +250,11 @@ pub struct AuditContext<'a> {
 
 impl<'a> AuditContext<'a> {
     /// Enables the §3.1 merge-consistency check: every tree edge between
-    /// nodes the matrix covers must have the metric distance as its weight.
+    /// terminals of `net` must have their metric distance, `net.dist(u, v)`,
+    /// as its weight.
     #[must_use]
-    pub fn with_distances(mut self, d: &'a DistanceMatrix) -> Self {
-        self.distances = Some(d);
+    pub fn with_net(mut self, net: &'a Net) -> Self {
+        self.net = Some(net);
         self
     }
 
@@ -284,7 +285,7 @@ impl<'a> AuditContext<'a> {
 impl fmt::Debug for AuditContext<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AuditContext")
-            .field("has_distances", &self.distances.is_some())
+            .field("has_net", &self.net.is_some())
             .field("upper_bound", &self.upper_bound)
             .field("lower_bound", &self.lower_bound)
             .field("bounded_nodes", &self.bounded_nodes)
@@ -321,8 +322,8 @@ impl RoutingTree {
     fn audit_inner(&self, ctx: &AuditContext<'_>) -> Result<(), AuditViolation> {
         self.audit_structure()?;
         self.audit_tables()?;
-        if let Some(d) = ctx.distances {
-            self.audit_merge_consistency(d)?;
+        if let Some(net) = ctx.net {
+            self.audit_merge_consistency(net)?;
         }
         if ctx.upper_bound.is_some() || ctx.lower_bound.is_some() {
             self.audit_bounds(ctx)?;
@@ -443,14 +444,14 @@ impl RoutingTree {
     }
 
     /// §3.1 merge consistency: tree edges are edges of the metric graph.
-    fn audit_merge_consistency(&self, d: &DistanceMatrix) -> Result<(), AuditViolation> {
+    fn audit_merge_consistency(&self, net: &Net) -> Result<(), AuditViolation> {
         for v in self.covered_nodes() {
             let Some(p) = self.parent(v) else { continue };
-            if v >= d.len() || p >= d.len() {
-                continue; // materialised Steiner points are outside the matrix
+            if v >= net.len() || p >= net.len() {
+                continue; // materialised Steiner points are not terminals
             }
             let w = self.parent_edge_weight(v);
-            let dist = d[(p, v)];
+            let dist = net.dist(p, v);
             if (w - dist).abs() > EPS_TOL {
                 return Err(AuditViolation::MergeInconsistent {
                     u: p,
@@ -502,7 +503,7 @@ impl RoutingTree {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
     use super::*;
-    use bmst_geom::{Metric, Point};
+    use bmst_geom::Point;
     use bmst_graph::Edge;
 
     fn chain() -> RoutingTree {
@@ -675,19 +676,16 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(3.0, 0.0),
         ];
-        let d = DistanceMatrix::from_points(&pts, Metric::L1);
+        let net = Net::with_source_first(pts.to_vec()).unwrap();
         let good = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 2.0)])
             .unwrap();
-        assert_eq!(
-            good.audit(&AuditContext::default().with_distances(&d)),
-            Ok(())
-        );
+        assert_eq!(good.audit(&AuditContext::default().with_net(&net)), Ok(()));
 
         // An edge whose weight is not the metric distance fails.
         let bad = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 5.0)])
             .unwrap();
         let err = bad
-            .audit(&AuditContext::default().with_distances(&d))
+            .audit(&AuditContext::default().with_net(&net))
             .unwrap_err();
         assert_eq!(
             err,
@@ -701,13 +699,12 @@ mod tests {
     }
 
     #[test]
-    fn steiner_nodes_outside_the_matrix_are_exempt() {
-        let pts = [Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
-        let d = DistanceMatrix::from_points(&pts, Metric::L1);
-        // Node 2 is a materialised Steiner point beyond the matrix.
+    fn steiner_nodes_outside_the_net_are_exempt() {
+        let net = Net::with_source_first(vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)]).unwrap();
+        // Node 2 is a materialised Steiner point beyond the net's terminals.
         let t = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 2, 1.0), Edge::new(2, 1, 1.0)])
             .unwrap();
-        assert_eq!(t.audit(&AuditContext::default().with_distances(&d)), Ok(()));
+        assert_eq!(t.audit(&AuditContext::default().with_net(&net)), Ok(()));
     }
 
     #[test]

@@ -257,44 +257,6 @@ impl ElmoreDelays {
     }
 }
 
-/// Elmore radius of every covered node: `r[u] = max_v delay(u, v)`.
-///
-/// `O(V^2)`; this is the quantity the Elmore-extended BKRUS recomputes after
-/// each tentative merger (the paper notes the geometric incremental update no
-/// longer applies under the Elmore model).
-///
-/// Uncovered nodes get `f64::INFINITY`.
-///
-/// # Panics
-///
-/// Panics if `params.load_cap.len() < tree.universe()`.
-#[allow(clippy::expect_used)] // coverage invariant, justified inline
-pub fn elmore_radii(tree: &RoutingTree, params: &ElmoreParams) -> Vec<f64> {
-    let n = tree.universe();
-    let mut radii = vec![f64::INFINITY; n];
-    for u in tree.covered_nodes() {
-        let d = ElmoreDelays::from_node(tree, u, params)
-            // lint: allow(no-panic) — from_node accepts exactly the covered nodes being iterated
-            .expect("covered nodes are valid origins");
-        radii[u] = d.max_delay();
-    }
-    radii
-}
-
-/// Total capacitance of the tree: all wire capacitance plus all node loads.
-///
-/// Used by the Elmore feasibility condition (3-b), where a candidate direct
-/// source connection must drive the entire merged component.
-pub fn total_capacitance(tree: &RoutingTree, params: &ElmoreParams) -> f64 {
-    let wire: f64 = tree
-        .edges()
-        .iter()
-        .map(|e| params.unit_cap * e.weight)
-        .sum();
-    let loads: f64 = tree.covered_nodes().map(|v| params.load_cap[v]).sum();
-    wire + loads
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
@@ -374,41 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn radii_symmetric_tree() {
-        // Symmetric star: both sinks equidistant; radii of sinks equal.
-        let t = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 1, 3.0), Edge::new(0, 2, 3.0)])
-            .unwrap();
-        let mut p = params(3);
-        p.load_cap = vec![0.0, 2.0, 2.0];
-        let r = elmore_radii(&t, &p);
-        assert!((r[1] - r[2]).abs() < 1e-12);
-        assert!(r[0] < r[1]); // center sees less worst-case delay
-    }
-
-    #[test]
-    fn uncovered_nodes_have_infinite_radius() {
-        let t = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 1, 1.0)]).unwrap();
-        let r = elmore_radii(&t, &params(3));
-        assert!(r[2].is_infinite());
-        assert!(r[0].is_finite());
-    }
-
-    #[test]
     fn from_node_uncovered_origin_errors() {
         let t = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 1, 1.0)]).unwrap();
         assert_eq!(
             ElmoreDelays::from_node(&t, 2, &params(3)).unwrap_err(),
             TreeError::NodeNotCovered { node: 2 }
         );
-    }
-
-    #[test]
-    fn total_capacitance_sums_wires_and_loads() {
-        let t = RoutingTree::from_edges(3, 0, vec![Edge::new(0, 1, 2.0), Edge::new(1, 2, 3.0)])
-            .unwrap();
-        let p = params(3);
-        // wires: 0.2*(2+3) = 1.0; loads: 0 + 2 + 2 = 4.0
-        assert!((total_capacitance(&t, &p) - 5.0).abs() < 1e-12);
     }
 
     #[test]

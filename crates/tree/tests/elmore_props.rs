@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
 
 use bmst_graph::Edge;
-use bmst_tree::{elmore, ElmoreDelays, ElmoreParams, RoutingTree};
+use bmst_tree::{ElmoreDelays, ElmoreParams, RoutingTree};
 use proptest::prelude::*;
 
 /// Strategy: a random tree over n nodes (random parent for each node > 0)
@@ -103,35 +103,6 @@ proptest! {
         for v in tree.covered_nodes() {
             prop_assert!(d1.delay[v] >= d0.delay[v] - 1e-12, "node {v} sped up");
         }
-    }
-
-    /// The radius vector dominates per-pair delays:
-    /// r[u] >= delay(u, v) for every pair.
-    #[test]
-    fn radii_dominate_pairwise_delays(tree in arb_tree()) {
-        let n = tree.universe();
-        let params = ElmoreParams::uniform_loads(n, 0, 0.2, 0.2, 3.0, 1.0, 1.5);
-        let radii = elmore::elmore_radii(&tree, &params);
-        for u in tree.covered_nodes() {
-            let d = ElmoreDelays::from_node(&tree, u, &params).unwrap();
-            for v in tree.covered_nodes() {
-                prop_assert!(radii[u] >= d.delay[v] - 1e-9, "r[{u}] < delay({u},{v})");
-            }
-        }
-    }
-
-    /// Total capacitance equals the root's downstream capacitance plus the
-    /// root load — checked via the delay of a zero-resistance driver probe.
-    #[test]
-    fn total_capacitance_consistent(tree in arb_tree()) {
-        let n = tree.universe();
-        let params = ElmoreParams::uniform_loads(n, 0, 0.2, 0.3, 1.0, 0.0, 2.0);
-        // from_source root delay = r_d * (c_d + C_root) with c_d = 0 =>
-        // C_root = root delay / r_d; and C_root + load(root) == total.
-        let d = ElmoreDelays::from_source(&tree, &params);
-        let c_root = d.delay[tree.root()] / params.driver_res;
-        let total = elmore::total_capacitance(&tree, &params);
-        prop_assert!((c_root + params.load_cap[tree.root()] - total).abs() < 1e-9);
     }
 }
 

@@ -3,8 +3,9 @@
 //! `DeadlineExceeded` failure in a small fraction of the uncancelled
 //! runtime, with no panic and no malformed report. BKRUS gets a 50 ms
 //! budget on a 5000-sink pathological instance (seconds per relaxation
-//! rung at this scale); Elmore-BKRUS gets a 200 ms budget on a 3000-sink
-//! cloud (over 18 s uncancelled in a release build).
+//! rung at this scale). Elmore-BKRUS, BKEX and BKH2 get 200 ms budgets on
+//! uniform clouds of 3000, 60 and 500 sinks, which run over 300 s, 93 s
+//! and over 300 s uncancelled in a release build.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic
 
@@ -33,6 +34,21 @@ fn pathological_instance_cancels_promptly() {
 fn elmore_bkrus_cancels_promptly() {
     let algorithm = RouteAlgorithm::from_name("elmore-bkrus").expect("registered");
     assert_cancels_promptly(uniform_cloud(3000, 1000.0, 7), algorithm, 200);
+}
+
+/// One exchange round scans every non-tree edge and walks its cycle at
+/// every depth, so the search must poll inside a round, not only between
+/// committed rounds.
+#[test]
+fn bkex_cancels_promptly() {
+    let algorithm = RouteAlgorithm::from_name("bkex").expect("registered");
+    assert_cancels_promptly(uniform_cloud(60, 1000.0, 7), algorithm, 200);
+}
+
+/// BKH2 runs the same exchange search at depth two, after BKRUS.
+#[test]
+fn bkh2_cancels_promptly() {
+    assert_cancels_promptly(uniform_cloud(500, 1000.0, 7), RouteAlgorithm::bkh2(), 200);
 }
 
 fn assert_cancels_promptly(net: Net, algorithm: RouteAlgorithm, budget: u64) {

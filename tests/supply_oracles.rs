@@ -8,12 +8,15 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
 
-use bmst_core::{bkrus_elmore, bprim, brbc, elmore_spt_radius, prim_dijkstra, ProblemContext};
+use bmst_core::{
+    bkrus_elmore, bprim, brbc, elmore_spt_radius, prim_dijkstra, BmstError, ProblemContext,
+};
 use bmst_geom::{le_tol, DistanceMatrix, Net, Point};
 use bmst_graph::{
     complete_edges, dijkstra, prim_mst, sort_edges, AdjacencyList, DisjointSets, Edge,
 };
-use bmst_tree::{elmore, ElmoreDelays, ElmoreParams, RoutingTree};
+use bmst_instances::uniform_cloud;
+use bmst_tree::{ElmoreDelays, ElmoreParams, RoutingTree};
 use proptest::prelude::*;
 
 /// Small integer lattice scaled by 0.5 (the `proptest_invariants` shape):
@@ -177,6 +180,30 @@ fn brbc_reference(net: &Net, eps: f64) -> RoutingTree {
     RoutingTree::from_edges(n, s, edges).unwrap()
 }
 
+/// Elmore radius of every covered node, `r[u] = max_v delay(u, v)`, by
+/// one delay evaluation per node: `O(V^2)`, the paper's full recomputation.
+/// Uncovered nodes get `f64::INFINITY`.
+fn elmore_radii(tree: &RoutingTree, params: &ElmoreParams) -> Vec<f64> {
+    let n = tree.universe();
+    let mut radii = vec![f64::INFINITY; n];
+    for u in tree.covered_nodes() {
+        let d = ElmoreDelays::from_node(tree, u, params).expect("covered nodes are valid origins");
+        radii[u] = d.max_delay();
+    }
+    radii
+}
+
+/// Total capacitance of the tree: all wire capacitance plus all node loads.
+fn total_capacitance(tree: &RoutingTree, params: &ElmoreParams) -> f64 {
+    let wire: f64 = tree
+        .edges()
+        .iter()
+        .map(|e| params.unit_cap * e.weight)
+        .sum();
+    let loads: f64 = tree.covered_nodes().map(|v| params.load_cap[v]).sum();
+    wire + loads
+}
+
 /// Elmore-BKRUS reference: Kruskal over the fully sorted matrix edge
 /// list, recomputing Elmore radii for every tentative merge. `None` when
 /// the scan ends without spanning.
@@ -212,8 +239,8 @@ fn elmore_bkrus_reference(net: &Net, eps: f64, params: &ElmoreParams) -> Option<
             le_tol(ElmoreDelays::from_source(&t, params).max_delay(), bound)
         } else {
             let t = RoutingTree::from_edges(n, e.u, merged).unwrap();
-            let radii = elmore::elmore_radii(&t, params);
-            let total_cap = elmore::total_capacitance(&t, params);
+            let radii = elmore_radii(&t, params);
+            let total_cap = total_capacitance(&t, params);
             let any_feasible = t.covered_nodes().any(|x| {
                 let dsx = d[(s, x)];
                 let direct = params.driver_res
@@ -320,4 +347,43 @@ proptest! {
             ),
         }
     }
+}
+
+/// Elmore-BKRUS against the reference on seeded uniform clouds, larger
+/// than the lattice nets above: the same trees bit for bit, and the same
+/// nets left unspanned.
+#[test]
+fn elmore_bkrus_matches_reference_on_seeded_clouds() {
+    let (mut spanned, mut unspanned) = (0, 0);
+    for n in [20, 40, 80] {
+        for seed in 0..4 {
+            let net = uniform_cloud(n, 1000.0, seed);
+            let params = ProblemContext::default_elmore_params(&net);
+            for eps in [0.0, 0.2, 0.5, 1.0, f64::INFINITY] {
+                let case = format!("{n} sinks, seed {seed}, eps {eps}");
+                match (
+                    bkrus_elmore(&net, eps, &params),
+                    elmore_bkrus_reference(&net, eps, &params),
+                ) {
+                    (Ok(t), Some(r)) => {
+                        if let Err(diff) = trees_bit_identical(&t, &r) {
+                            panic!("{case}: {diff}");
+                        }
+                        spanned += 1;
+                    }
+                    (Err(BmstError::Infeasible { .. }), None) => unspanned += 1,
+                    (t, r) => panic!(
+                        "{case}: feasibility diverged (run {:?}, reference ok={})",
+                        t.map(|t| t.cost()),
+                        r.is_some()
+                    ),
+                }
+            }
+        }
+    }
+    eprintln!("spanned {spanned}, unspanned {unspanned}");
+    assert!(
+        spanned > 0 && unspanned > 0,
+        "the corpus should hit both outcomes"
+    );
 }
